@@ -1,0 +1,185 @@
+"""Golden outputs on the bundled scenarios.
+
+Each CLI experiment runs on ``scenarios/default.scn`` and
+``scenarios/mirrored-y.scn``. The data sections (every line that does not
+start with ``#``) of ``gain-profile``, ``rate-sweep`` and a 21x21-point
+``beam-pattern`` are pinned by SHA-256 digest, so they must stay byte
+identical. ``export-config`` is pinned the same way, minus its version line.
+The ``td-count-sweep`` and ``delay-range-sweep`` edge gains are pinned by
+value to an absolute 1e-13: they are reductions whose last bits depend on the
+summation layout.
+
+A change that alters any of these outputs on purpose updates the values here
+and records the measured drift in CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from irslab.cli import main
+from irslab.experiments import DESIGN_NAMES
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SCENARIOS = ("default.scn", "mirrored-y.scn")
+SWEEP_TOL = 1e-13
+
+GOLDEN_DIGESTS = {
+    "default.scn": {
+        "gain-profile": "24a2329231605a5e8bb9670ba717f1891b830dd6c7bdc99f1877795a77ad0b6a",
+        "rate-sweep": "2c45d88ae1a76b351aa777c3e54491247d0e6d67b7fddef28f874f24ac3c02ed",
+        "export-config/narrowband": "a8524d65bd26d412269782f05b2956ab3bf5c0976724bf1b2e3e6a319c3828a1",
+        "beam-pattern/narrowband": "571bc9a01b07c0ea952cd73920f6c3bd890bd2c7f511e1d54097baf297e1c76d",
+        "export-config/dldd": "e4b961a4f1babacf952fdffde9bc7b4357f9789715a39f9fa285b2dd7baa2759",
+        "beam-pattern/dldd": "d78ecd9d930a70256245d77ecbb281ac59686ce846a39ac0adee718f49f47ca6",
+        "export-config/per-element": "02fe6f97794f5634bf2745b6f6bd45a33dfc18e45fc381f6ac8eb7ca20f66d89",
+        "beam-pattern/per-element": "cabe958039739b7493e5e284047a8c158de5a94ba516dd4394c304cdfd86a110",
+    },
+    "mirrored-y.scn": {
+        "gain-profile": "4bd3a577b8562ea262c4af317fb13d476753edf81ac01c875b4e4b4faa6fca7e",
+        "rate-sweep": "1fd75962c78ed8c3912093c7351f3102e469f28bfd41b141119507b232db3a0a",
+        "export-config/narrowband": "f34f804356024b2fb68cdb881aca15ba70b69fdc7c99d8d925528f9deb2bf062",
+        "beam-pattern/narrowband": "f642b4d539d7abe28cd848384914ed44fe7af15b1067af743626c2875a8c04c2",
+        "export-config/dldd": "b08c381a7af93a0587cf1a0c4792a93b74c3ced7a9c68282d02558b8a071acfe",
+        "beam-pattern/dldd": "ccc2bbde06e1525232ef26d2f6d1e2da53ec9c2de2e114460c053a170c8856e1",
+        "export-config/per-element": "4fcc929199f6670e9be952a8d8e2bc277134ae6c1087eb4afc0e479059a616d6",
+        "beam-pattern/per-element": "69767be1a8108ae57eeaa1a90d9a7a8ddf95ab2c636e39dbba1a105eb8a5ddab",
+    },
+}
+
+GOLDEN_SWEEPS = {
+    "default.scn": {
+        "td-count-sweep": [
+            [0.0, 0.03235304523108354],
+            [3.0, 0.04681200795464116],
+            [15.0, 0.055162692489601296],
+            [24.0, 0.282513542729854],
+            [99.0, 0.7759204193687966],
+            [399.0, 0.9424608154945364],
+            [624.0, 0.9637889515170703],
+            [2499.0, 0.9926908439072873],
+        ],
+        "delay-range-sweep": [
+            [0.0, 0.016911696159644937, 0.01691309779171118],
+            [1.0, 0.04054106070058775, 0.01691309779171306],
+            [2.0, 0.06175371818086842, 0.016913097791703757],
+            [3.0, 0.06695478145198666, 0.016913097791706768],
+            [4.0, 0.04858289410797574, 0.016913097791708485],
+            [5.0, 0.013589722384187132, 0.01691309779171144],
+            [6.0, 0.02938288784443244, 0.01691309779170057],
+            [7.0, 0.07107528982588793, 0.016913097791712763],
+            [8.0, 0.10048477846194252, 0.01691309779169779],
+            [9.0, 0.11023615358366491, 0.016913097791710314],
+            [10.0, 0.0963380972068638, 0.016913097791718994],
+            [11.0, 0.05925817007936578, 0.016913097791700617],
+            [12.0, 0.004279917585434886, 0.01691309779171485],
+            [13.0, 0.05929048669762618, 0.016913097791717773],
+            [14.0, 0.11889711353560314, 0.016913097791712656],
+            [15.0, 0.161210005821399, 0.01691309779169996],
+            [16.0, 0.17406137363281263, 0.01691309779170836],
+            [17.0, 0.1486585441576345, 0.01691309779171133],
+            [18.0, 0.08132806832092505, 0.016913097791714536],
+            [19.0, 0.025751740331356278, 0.016913097791717208],
+            [20.0, 0.16356444434060288, 0.01691309779170224],
+        ],
+    },
+    "mirrored-y.scn": {
+        "td-count-sweep": [
+            [0.0, 0.2973975884422684],
+            [3.0, 0.7643384239003576],
+            [15.0, 0.9373031367709825],
+            [24.0, 0.9596154733832823],
+            [99.0, 0.989882398308914],
+            [399.0, 0.9975413517210465],
+            [624.0, 0.9984629026972323],
+            [2499.0, 0.9996924626451686],
+        ],
+        "delay-range-sweep": [
+            [0.0, 0.27547519994048214, 0.2754827468645883],
+            [1.0, 0.5000496708714796, 0.27548274686460084],
+            [2.0, 0.7012651814782057, 0.27548274686460134],
+            [3.0, 0.8553593984390419, 0.2754827468646209],
+            [4.0, 0.9556854339409083, 0.27548274686458923],
+            [5.0, 0.9898581419547474, 0.27548274686460206],
+            [6.0, 0.989882398308914, 0.2754827468646115],
+            [7.0, 0.989882398308914, 0.2754827468645918],
+            [8.0, 0.989882398308914, 0.27548274686460783],
+            [9.0, 0.989882398308914, 0.27548274686458524],
+            [10.0, 0.989882398308914, 0.2754827468646051],
+            [11.0, 0.989882398308914, 0.2754827468646034],
+            [12.0, 0.989882398308914, 0.2754827468646232],
+            [13.0, 0.989882398308914, 0.2754827468645952],
+            [14.0, 0.989882398308914, 0.2754827468646117],
+            [15.0, 0.989882398308914, 0.2754827468646065],
+            [16.0, 0.989882398308914, 0.27548274686461416],
+            [17.0, 0.989882398308914, 0.2754827468646161],
+            [18.0, 0.989882398308914, 0.2754827468645826],
+            [19.0, 0.989882398308914, 0.2754827468646119],
+            [20.0, 0.989882398308914, 0.2754827468646098],
+        ],
+    },
+}
+
+
+def _small_plane_scenario(name: str, tmp_path: Path) -> Path:
+    """The bundled scenario with its evaluation plane cut to 21 x 21 points."""
+    lines = [
+        line
+        for line in (SCENARIO_DIR / name).read_text().splitlines()
+        if not line.startswith("plane.points_")
+    ]
+    path = tmp_path / f"small-plane-{name}"
+    path.write_text("\n".join(lines + ["plane.points_x = 21", "plane.points_y = 21"]) + "\n")
+    return path
+
+
+def _run(tmp_path: Path, argv: list) -> str:
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    return out.read_text()
+
+
+def _data_digest(text: str, skip: str = "#") -> str:
+    kept = [line for line in text.splitlines() if not line.lstrip().startswith(skip)]
+    return hashlib.sha256("\n".join(kept).encode()).hexdigest()
+
+
+def _outputs(name: str, tmp_path: Path) -> dict:
+    """Digest per pinned output of one bundled scenario."""
+    scn = str(SCENARIO_DIR / name)
+    small = str(_small_plane_scenario(name, tmp_path))
+    out = {
+        "gain-profile": _data_digest(_run(tmp_path, ["gain-profile", "--scenario", scn])),
+        "rate-sweep": _data_digest(_run(tmp_path, ["rate-sweep", "--scenario", scn])),
+    }
+    for design in DESIGN_NAMES:
+        text = _run(tmp_path, ["export-config", "--scenario", scn, "--design", design])
+        out[f"export-config/{design}"] = _data_digest(text, skip='"version"')
+        text = _run(tmp_path, ["beam-pattern", "--scenario", small, "--design", design])
+        out[f"beam-pattern/{design}"] = _data_digest(text)
+    return out
+
+
+def _sweep_rows(tmp_path: Path, command: str, scn: str) -> list:
+    lines = _run(tmp_path, [command, "--scenario", scn]).splitlines()
+    return [
+        [float(cell) for cell in line.split(",")]
+        for line in lines[4:]
+        if not line.startswith("#")
+    ]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_data_sections_are_byte_identical(name, tmp_path):
+    assert _outputs(name, tmp_path) == GOLDEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("command", ("td-count-sweep", "delay-range-sweep"))
+def test_sweeps_match_pinned_values(name, command, tmp_path):
+    rows = _sweep_rows(tmp_path, command, str(SCENARIO_DIR / name))
+    expected = GOLDEN_SWEEPS[name][command]
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        assert row == pytest.approx(want, rel=0, abs=SWEEP_TOL)
