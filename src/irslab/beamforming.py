@@ -19,6 +19,13 @@ from .channel import CascadedDecomposition, cascaded_decomposition, path_length_
 from .geometry import FrequencyGrid, Scene, SubsurfacePartition
 
 
+def _saturate(delays: np.ndarray, clamp: Optional[float]) -> np.ndarray:
+    """Signed delays with each magnitude capped at `clamp` (None: unchanged)."""
+    if clamp is None:
+        return delays
+    return np.sign(delays) * np.minimum(np.abs(delays), clamp)
+
+
 class SignConsistencyWarning(UserWarning):
     """A delta-delay family mixes signs; magnitude routing proceeds per module."""
 
@@ -80,14 +87,32 @@ class DlddDelayNetwork:
         Relative to sub-surface (1, 1). With `clamp`, each module magnitude
         saturates at the given value (seconds) before accumulation.
         """
-        first = self.first_layer
-        second = self.second_layer
-        if clamp is not None:
-            first = np.sign(first) * np.minimum(np.abs(first), clamp)
-            second = np.sign(second) * np.minimum(np.abs(second), clamp)
-        rows = np.concatenate([[0.0], np.cumsum(first)])
-        cols = np.concatenate([np.zeros((self.k_y, 1)), np.cumsum(second, axis=1)], axis=1)
+        rows = np.concatenate([[0.0], np.cumsum(_saturate(self.first_layer, clamp))])
+        cols = np.cumsum(_saturate(self.second_layer, clamp), axis=1)
+        cols = np.concatenate([np.zeros((self.k_y, 1)), cols], axis=1)
         return rows[:, None] + cols
+
+    def element_delays(
+        self, clamp: Optional[float], partition: Optional[SubsurfacePartition]
+    ) -> np.ndarray:
+        """Signed delay per element, shape (N,): each sub-surface's cumulative delay."""
+        if partition is None:
+            raise ValueError("DLDD configuration needs its partition")
+        s = partition.s
+        cum = self.cumulative_delays(clamp)
+        return np.repeat(np.repeat(cum, s, axis=0), s, axis=1).reshape(-1)
+
+    def max_module_delay(self) -> float:
+        """Largest routed delta a single module must realize, seconds (0 without modules)."""
+        return float(self.module_delays().max(initial=0.0))
+
+    def as_dict(self) -> dict:
+        return {
+            "type": "dldd",
+            "switch_sign": self.switch_sign,
+            "first_layer_s": self.first_layer.tolist(),
+            "second_layer_s": self.second_layer.tolist(),
+        }
 
 
 @dataclass(frozen=True)
@@ -99,6 +124,17 @@ class PerElementDelayConfig:
     def __post_init__(self) -> None:
         if self.tau.ndim != 1 or not np.all(np.isfinite(self.tau)):
             raise ValueError("tau must be a finite flat per-element array")
+
+    def element_delays(self, clamp: Optional[float], partition=None) -> np.ndarray:
+        """The dedicated delays, each saturated at `clamp`; `partition` is unused."""
+        return _saturate(self.tau, clamp)
+
+    def max_module_delay(self) -> float:
+        """Largest dedicated element delay magnitude, seconds."""
+        return float(np.abs(self.tau).max())
+
+    def as_dict(self) -> dict:
+        return {"type": "per-element", "tau_s": self.tau.tolist()}
 
 
 DelayNetwork = Union[None, DlddDelayNetwork, PerElementDelayConfig]
@@ -115,15 +151,8 @@ class BeamformerConfig:
     design_frequency: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.delay_network, DlddDelayNetwork):
-            if self.partition is None:
-                raise ValueError("DLDD configuration needs its partition")
-            expected = self.partition.k * self.partition.s**2
-            if self.phases.theta.shape[0] != expected:
-                raise ValueError("partition inconsistent with the phase table size")
-        if isinstance(self.delay_network, PerElementDelayConfig):
-            if self.delay_network.tau.shape != self.phases.theta.shape:
-                raise ValueError("per-element delay table size mismatch")
+        if self.delay_network is not None and self.element_delays().shape != (self.n_elements,):
+            raise ValueError("delay network inconsistent with the phase table size")
 
     @property
     def n_elements(self) -> int:
@@ -137,16 +166,22 @@ class BeamformerConfig:
         """
         if clamp is not None and clamp < 0:
             raise ValueError("clamp must be non-negative")
-        net = self.delay_network
-        if net is None:
+        if self.delay_network is None:
             return np.zeros(self.n_elements)
-        if isinstance(net, PerElementDelayConfig):
-            if clamp is None:
-                return net.tau
-            return np.sign(net.tau) * np.minimum(np.abs(net.tau), clamp)
-        s = self.partition.s
-        cum = net.cumulative_delays(clamp)
-        return np.repeat(np.repeat(cum, s, axis=0), s, axis=1).reshape(-1)
+        return self.delay_network.element_delays(clamp, self.partition)
+
+    def anchor_and_delays(self, clamp: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
+        """Frequency-flat anchor phase and realized delay of every element.
+
+        The reflection phase at frequency f is anchor - 2*pi*f*tau. With
+        `clamp` the delays saturate and the anchor re-folds the clamped-away
+        delay at the design frequency, so the residual dispersion scales with
+        f - f_c, as in a recalibrated range-limited delay line.
+        """
+        tau_ideal = self.element_delays()
+        tau = self.element_delays(clamp) if clamp is not None else tau_ideal
+        anchor = self.phases.theta - 2 * np.pi * self.design_frequency * (tau_ideal - tau)
+        return anchor, tau
 
     def as_dict(self) -> dict:
         """JSON-ready description (phases in radians, delays in seconds)."""
@@ -162,17 +197,7 @@ class BeamformerConfig:
                 "s": self.partition.s,
             }
         net = self.delay_network
-        if net is None:
-            out["delay_network"] = {"type": "none"}
-        elif isinstance(net, PerElementDelayConfig):
-            out["delay_network"] = {"type": "per-element", "tau_s": net.tau.tolist()}
-        else:
-            out["delay_network"] = {
-                "type": "dldd",
-                "switch_sign": net.switch_sign,
-                "first_layer_s": net.first_layer.tolist(),
-                "second_layer_s": net.second_layer.tolist(),
-            }
+        out["delay_network"] = {"type": "none"} if net is None else net.as_dict()
         return out
 
 
@@ -256,7 +281,6 @@ def dldd_design(
     scene: Scene,
     grid: FrequencyGrid,
     partition: Optional[SubsurfacePartition] = None,
-    range_scaled_elevation: bool = False,
 ) -> BeamformerConfig:
     """Double-layer delta-delay design over the sub-surface grid.
 
@@ -268,7 +292,7 @@ def dldd_design(
     """
     if partition is None:
         partition = scene.partition
-    decomp = cascaded_decomposition(scene, partition, range_scaled_elevation)
+    decomp = cascaded_decomposition(scene, partition)
     tau = required_subsurface_delays(decomp, grid.c)
     report = sign_consistency_check(decomp, partition, grid.c)
     if not report.consistent:
@@ -332,23 +356,12 @@ def effective_reflection(
 ) -> np.ndarray:
     """Per-element unit reflection coefficients at frequency f, shape (N,).
 
-    Unclamped this is exp(j*(theta_n - 2*pi*f*tau_n)). With `clamp`
-    (maximum realizable module delay, seconds) the delays saturate and the
-    phase shifters are re-anchored so the center-frequency response matches
-    the unclamped design; the residual dispersion then scales with f - f_c,
-    which is how a recalibrated range-limited delay line behaves.
+    Unclamped this is exp(j*(theta_n - 2*pi*f*tau_n)); `clamp` (maximum
+    realizable module delay, seconds) re-anchors as in
+    BeamformerConfig.anchor_and_delays.
     """
-    if clamp is not None and clamp < 0:
-        raise ValueError("clamp must be non-negative")
-    tau_ideal = config.element_delays()
-    tau_real = config.element_delays(clamp) if clamp is not None else tau_ideal
-    f_c = config.design_frequency
-    phase = (
-        config.phases.theta
-        - 2 * np.pi * f_c * tau_ideal
-        - 2 * np.pi * (f - f_c) * tau_real
-    )
-    return np.exp(1j * phase)
+    anchor, tau = config.anchor_and_delays(clamp)
+    return np.exp(1j * (anchor - 2 * np.pi * f * tau))
 
 
 def td_module_count(partition: SubsurfacePartition) -> int:
@@ -362,10 +375,6 @@ def required_delay_range(config: BeamformerConfig) -> float:
     For the DLDD network that is the largest routed delta; for the
     per-element benchmark the largest dedicated element delay.
     """
-    net = config.delay_network
-    if net is None:
+    if config.delay_network is None:
         raise ValueError("configuration has no delay network")
-    if isinstance(net, PerElementDelayConfig):
-        return float(np.abs(net.tau).max())
-    delays = net.module_delays()
-    return float(delays.max()) if delays.size else 0.0
+    return config.delay_network.max_module_delay()

@@ -40,10 +40,6 @@ class ChannelSet:
         if self.gains.ndim != 2:
             raise ValueError("gains must be a 2-D (element, subcarrier) array")
 
-    def phases(self) -> np.ndarray:
-        """Wrapped phase per entry, radians in (-pi, pi]."""
-        return np.angle(self.gains)
-
 
 @dataclass(frozen=True)
 class CascadedDecomposition:
@@ -99,13 +95,20 @@ def exact_los_channel(
     return ChannelSet(model="exact", normalized=normalized, gains=gains)
 
 
-def _subsurface_geometry(
-    scene: Scene, partition: SubsurfacePartition, endpoint: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Center distances and link trigonometry per sub-surface.
+def _to_element_order(per_subsurface_element: np.ndarray) -> np.ndarray:
+    """Reshape a (k_y, k_z, s, s) table to global row-major element order (N,)."""
+    return per_subsurface_element.transpose(0, 2, 1, 3).reshape(-1)
 
-    Returns (r, sin_azi, sin_ele, cos_ele), each shaped (k_y, k_z). The
-    angles are those of the endpoint relative to each sub-surface center.
+
+def _first_order_terms(
+    scene: Scene, partition: SubsurfacePartition, endpoint: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """First-order expansion of the element distances to one endpoint.
+
+    Returns the sub-surface center distances r_k, shape (k_y, k_z), and the
+    linear intra offset projection phi = dy*sin_ele*sin_azi + dz*cos_ele,
+    shape (k_y, k_z, s, s), with the angles those of the endpoint seen from
+    each center; the linearized element distance is r_k - phi.
     """
     centers = subsurface_centers(scene.layout, partition)
     rel = scene.endpoint(endpoint).as_array() - centers
@@ -114,48 +117,17 @@ def _subsurface_geometry(
         raise DegenerateGeometryError(f"{endpoint} coincides with a sub-surface center")
     rho = np.hypot(rel[..., 0], rel[..., 1])
     sin_azi = np.divide(rel[..., 1], rho, out=np.zeros_like(rho), where=rho > 0)
-    return r, sin_azi, rho / r, rel[..., 2] / r
-
-
-def _intra_offsets(partition: SubsurfacePartition, d: float) -> np.ndarray:
-    """Element offsets from the sub-surface center along one axis, shape (s,)."""
-    return (np.arange(partition.s) - (partition.s - 1) / 2) * d
-
-
-def _to_element_order(per_subsurface_element: np.ndarray, partition: SubsurfacePartition) -> np.ndarray:
-    """Reshape a (k_y, k_z, s, s) table to global row-major element order (N,)."""
-    k_y, k_z, s, _ = per_subsurface_element.shape
-    return per_subsurface_element.transpose(0, 2, 1, 3).reshape(k_y * s * k_z * s)
-
-
-def _linearized_distances(
-    scene: Scene,
-    partition: SubsurfacePartition,
-    endpoint: str,
-    range_scaled_elevation: bool,
-) -> np.ndarray:
-    """First-order element distances r_k - dz*cos - dy*sin*sin, shape (N,).
-
-    With `range_scaled_elevation` the elevation offset term is additionally
-    multiplied by the sub-surface center distance. That variant is
-    dimensionally inconsistent and kept only as a compatibility switch; the
-    default is the standard first-order expansion.
-    """
-    r, sin_azi, sin_ele, cos_ele = _subsurface_geometry(scene, partition, endpoint)
-    off = _intra_offsets(partition, scene.layout.d)
-    ele_scale = r * cos_ele if range_scaled_elevation else cos_ele
-    azi_term = off[None, None, :, None] * (sin_ele * sin_azi)[:, :, None, None]
-    ele_term = off[None, None, None, :] * ele_scale[:, :, None, None]
-    approx = r[:, :, None, None] - ele_term - azi_term
-    return _to_element_order(approx, partition)
+    sin_ele, cos_ele = rho / r, rel[..., 2] / r
+    off = (np.arange(partition.s) - (partition.s - 1) / 2) * scene.layout.d
+    phi = (
+        off[None, None, :, None] * (sin_ele * sin_azi)[:, :, None, None]
+        + off[None, None, None, :] * cos_ele[:, :, None, None]
+    )
+    return r, phi
 
 
 def piecewise_channel(
-    scene: Scene,
-    grid: FrequencyGrid,
-    partition: SubsurfacePartition,
-    endpoint: str,
-    range_scaled_elevation: bool = False,
+    scene: Scene, grid: FrequencyGrid, partition: SubsurfacePartition, endpoint: str
 ) -> ChannelSet:
     """Piece-wise far-field channel: exact to sub-surface centers, linear within.
 
@@ -163,16 +135,13 @@ def piecewise_channel(
     -2*pi*(f_m/c) * (r_k - dz*d*cos_ele - dy*d*sin_ele*sin_azi) built from
     the element's sub-surface center distance r_k and its intra offsets.
     """
-    r_lin = _linearized_distances(scene, partition, endpoint, range_scaled_elevation)
+    r, phi = _first_order_terms(scene, partition, endpoint)
+    r_lin = _to_element_order(r[:, :, None, None] - phi)
     gains = np.exp(-2j * np.pi / grid.c * np.outer(r_lin, grid.frequencies))
     return ChannelSet(model="piecewise", normalized=True, gains=gains)
 
 
-def cascaded_decomposition(
-    scene: Scene,
-    partition: SubsurfacePartition,
-    range_scaled_elevation: bool = False,
-) -> CascadedDecomposition:
+def cascaded_decomposition(scene: Scene, partition: SubsurfacePartition) -> CascadedDecomposition:
     """Split the piecewise cascaded phase into inter and intra sub-surface parts.
 
     inter_delta_r[k] = r_bs,k - r_user,k per sub-surface center;
@@ -180,22 +149,12 @@ def cascaded_decomposition(
     offset projection for each side. Reconstructing per-element phases as
     -2*pi*(f/c)*(inter - intra) reproduces the piecewise cascaded channel.
     """
-    r_b, sa_b, se_b, ce_b = _subsurface_geometry(scene, partition, "bs")
-    r_u, sa_u, se_u, ce_u = _subsurface_geometry(scene, partition, "user")
-    off = _intra_offsets(partition, scene.layout.d)
-
-    def side_phi(r, sa, se, ce):
-        ele_scale = r * ce if range_scaled_elevation else ce
-        return (
-            off[None, None, :, None] * (se * sa)[:, :, None, None]
-            + off[None, None, None, :] * ele_scale[:, :, None, None]
-        )
-
-    intra = _to_element_order(
-        side_phi(r_b, sa_b, se_b, ce_b) - side_phi(r_u, sa_u, se_u, ce_u), partition
-    )
+    r_b, phi_b = _first_order_terms(scene, partition, "bs")
+    r_u, phi_u = _first_order_terms(scene, partition, "user")
     return CascadedDecomposition(
-        partition=partition, inter_delta_r=r_b - r_u, intra_delta_phi=intra
+        partition=partition,
+        inter_delta_r=r_b - r_u,
+        intra_delta_phi=_to_element_order(phi_b - phi_u),
     )
 
 

@@ -2,7 +2,8 @@
 
 Subcommands mirror the runners: gain-profile, beam-pattern, td-count-sweep,
 delay-range-sweep, rate-sweep, plus export-config for the beamformer JSON.
-Exit status is 0 on success and 1 on scenario/validation errors.
+Exit status is 0 on success, 1 on scenario/validation errors or an unwritable
+output path, and 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -27,16 +28,12 @@ from .experiments import (
 from .scenario import ScenarioError, load_scenario
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", metavar="PATH", default=None,
-                        help="scenario file (omit for the built-in defaults)")
-    parser.add_argument("--out", metavar="PATH", default=None,
-                        help="output path (default: <experiment>.<format>)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+def _tokens_arg(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 def _designs_arg(text: str) -> list[str]:
-    names = [part.strip() for part in text.split(",") if part.strip()]
+    names = _tokens_arg(text)
     for name in names:
         if name not in DESIGN_NAMES:
             raise argparse.ArgumentTypeError(
@@ -47,79 +44,76 @@ def _designs_arg(text: str) -> list[str]:
     return names
 
 
+# subcommand -> (help, runner(scenario, args) returning a ResultTable or a JSON-ready dict)
+COMMANDS = {
+    "gain-profile": ("array gain per subcarrier per design",
+                     lambda sc, args: run_gain_profile(sc, designs=args.designs)),
+    "beam-pattern": ("gain over the evaluation plane",
+                     lambda sc, args: run_beam_pattern(sc, design=args.design,
+                                                       frequencies=args.frequencies)),
+    "td-count-sweep": ("edge gain vs number of delay modules",
+                       lambda sc, args: run_td_count_sweep(sc)),
+    "delay-range-sweep": ("edge gain vs module delay cap",
+                          lambda sc, args: run_delay_range_sweep(sc)),
+    "rate-sweep": ("mean rate vs BS transmit power",
+                   lambda sc, args: run_rate_sweep(sc, designs=args.designs)),
+    "export-config": ("beamformer configuration as JSON",
+                      lambda sc, args: export_config(sc, args.design)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irslab",
         description="Wideband near-field IRS beamforming experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gain-profile", help="array gain per subcarrier per design")
-    _add_common(p)
-    p.add_argument("--designs", type=_designs_arg, default=list(DESIGN_NAMES))
-
-    p = sub.add_parser("beam-pattern", help="gain over the evaluation plane")
-    _add_common(p)
-    p.add_argument("--design", choices=DESIGN_NAMES, default="narrowband")
-    p.add_argument("--frequencies", default=",".join(FREQUENCY_TOKENS),
-                   help="comma list of f1/fc/fM tokens or GHz values")
-
-    p = sub.add_parser("td-count-sweep", help="edge gain vs number of delay modules")
-    _add_common(p)
-
-    p = sub.add_parser("delay-range-sweep", help="edge gain vs module delay cap")
-    _add_common(p)
-
-    p = sub.add_parser("rate-sweep", help="mean rate vs BS transmit power")
-    _add_common(p)
-    p.add_argument("--designs", type=_designs_arg, default=list(DESIGN_NAMES))
-
-    p = sub.add_parser("export-config", help="beamformer configuration as JSON")
-    _add_common(p)
-    p.add_argument("--design", choices=DESIGN_NAMES, default="dldd")
-
+    subs = {name: sub.add_parser(name, help=text) for name, (text, _) in COMMANDS.items()}
+    for name, p in subs.items():
+        p.add_argument("--scenario", metavar="PATH", default=None,
+                       help="scenario file (omit for the built-in defaults)")
+        p.add_argument("--out", metavar="PATH", default=None,
+                       help="output path (default: <experiment>.<format>, or "
+                       "beamformer-config.json for export-config)")
+        if name == "export-config":
+            p.set_defaults(format="json")
+        else:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+    for name in ("gain-profile", "rate-sweep"):
+        subs[name].add_argument("--designs", type=_designs_arg, default=list(DESIGN_NAMES))
+    subs["beam-pattern"].add_argument("--design", choices=DESIGN_NAMES, default="narrowband")
+    subs["beam-pattern"].add_argument("--frequencies", type=_tokens_arg,
+                                      default=list(FREQUENCY_TOKENS),
+                                      help="comma list of f1/fc/fM tokens or GHz values")
+    subs["export-config"].add_argument("--design", choices=DESIGN_NAMES, default="dldd")
     return parser
 
 
-def _write_table(table: ResultTable, out: Optional[str], fmt: str) -> Path:
-    path = Path(out) if out else Path(f"{table.experiment}.{fmt}")
+def _write(result, out: Optional[str], fmt: str) -> Path:
+    """Write a result table as CSV or JSON, or an exported configuration as JSON."""
+    if isinstance(result, ResultTable):
+        path = Path(out or f"{result.experiment}.{fmt}")
+        write = result.to_csv if fmt == "csv" else result.to_json
+    else:
+        path = Path(out or "beamformer-config.json")
+
+        def write(fh):
+            json.dump(result, fh, indent=2)
+            fh.write("\n")
+
     with path.open("w", newline="") as fh:
-        if fmt == "csv":
-            table.to_csv(fh)
-        else:
-            table.to_json(fh)
+        write(fh)
     return path
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    _, runner = COMMANDS[args.command]
     try:
-        scenario = load_scenario(args.scenario)
-        if args.command == "gain-profile":
-            table = run_gain_profile(scenario, designs=args.designs)
-        elif args.command == "beam-pattern":
-            tokens = [t.strip() for t in args.frequencies.split(",") if t.strip()]
-            table = run_beam_pattern(scenario, design=args.design, frequencies=tokens)
-        elif args.command == "td-count-sweep":
-            table = run_td_count_sweep(scenario)
-        elif args.command == "delay-range-sweep":
-            table = run_delay_range_sweep(scenario)
-        elif args.command == "rate-sweep":
-            table = run_rate_sweep(scenario, designs=args.designs)
-        elif args.command == "export-config":
-            payload = export_config(scenario, args.design)
-            path = Path(args.out) if args.out else Path("beamformer-config.json")
-            with path.open("w") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-            print(f"wrote {path}")
-            return 0
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ScenarioError(f"unknown command {args.command!r}")
-    except (ScenarioError, ValueError) as exc:
+        path = _write(runner(load_scenario(args.scenario), args), args.out, args.format)
+    except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    path = _write_table(table, args.out, args.format)
     print(f"wrote {path}")
     return 0
 

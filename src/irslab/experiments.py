@@ -8,6 +8,7 @@ the scenario hash and the package version.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import IO, Optional, Sequence
 
@@ -21,12 +22,14 @@ from .beamforming import (
     per_element_td_design,
     td_module_count,
 )
+from .channel import element_distances
 from .geometry import SubsurfacePartition
 from .metrics import (
+    _cascade_phasors,
+    _normalized_gains,
     beam_pattern,
     cascade_gain_magnitudes,
     gain_profile,
-    normalized_array_gain,
     rates_from_gain,
 )
 from .scenario import Scenario, ScenarioError, dbm_to_watts
@@ -104,27 +107,20 @@ def build_design(scenario: Scenario, name: str) -> BeamformerConfig:
 
 
 def resolve_frequencies(scenario: Scenario, tokens: Sequence[str | float]) -> list[float]:
-    """Map 'f1' / 'fc' / 'fM' tokens (or explicit GHz values) to Hz."""
+    """Map 'f1' / 'fc' / 'fM' tokens (or explicit finite GHz values) to Hz."""
     grid = scenario.grid()
-    freqs = grid.frequencies
+    named = {"f1": grid.frequencies[0], "fc": grid.f_c, "fM": grid.frequencies[-1]}
     out = []
     for tok in tokens:
-        if isinstance(tok, str):
-            if tok == "f1":
-                out.append(float(freqs[0]))
-            elif tok == "fc":
-                out.append(float(grid.f_c))
-            elif tok == "fM":
-                out.append(float(freqs[-1]))
-            else:
-                try:
-                    out.append(float(tok) * 1e9)
-                except ValueError:
-                    raise ScenarioError(
-                        f"unknown frequency token {tok!r}; use f1, fc, fM or a GHz value"
-                    ) from None
-        else:
-            out.append(float(tok) * 1e9)
+        try:
+            hz = float(named[tok]) if tok in named else float(tok) * 1e9
+        except ValueError:
+            raise ScenarioError(
+                f"unknown frequency token {tok!r}; use f1, fc, fM or a GHz value"
+            ) from None
+        if not math.isfinite(hz):
+            raise ScenarioError(f"frequency {tok!r} is not a finite GHz value")
+        out.append(hz)
     return out
 
 
@@ -158,11 +154,12 @@ def run_beam_pattern(
     freqs = resolve_frequencies(scenario, frequencies)
     pattern = beam_pattern(scene, grid, config, freqs, scenario.plane())
     xs, ys = pattern.plane.x_coords(), pattern.plane.y_coords()
-    rows = []
-    for i, f in enumerate(pattern.frequencies):
-        for ix in range(pattern.plane.n_x):
-            for iy in range(pattern.plane.n_y):
-                rows.append((f / 1e9, xs[ix], ys[iy], float(pattern.gains[i, ix, iy])))
+    rows = tuple(
+        (f / 1e9, x, y, float(g))
+        for f, plane_gains in zip(pattern.frequencies, pattern.gains)
+        for x, row in zip(xs, plane_gains)
+        for y, g in zip(ys, row)
+    )
     comments = tuple(
         "peak: frequency_ghz=%s x_m=%s y_m=%s gain=%s ix=%d iy=%d"
         % (repr(p.frequency / 1e9), repr(p.x), repr(p.y), repr(p.gain), p.ix, p.iy)
@@ -172,17 +169,17 @@ def run_beam_pattern(
         experiment="beam-pattern",
         scenario_hash=scenario.digest(),
         columns=("frequency_ghz", "x_m", "y_m", "gain"),
-        rows=tuple(rows),
+        rows=rows,
         comments=comments,
     )
 
 
 def _edge_gains(scenario: Scenario, config: BeamformerConfig, clamp: Optional[float] = None) -> float:
+    """Smaller of the two edge-subcarrier normalized gains."""
     scene, grid = scenario.scene(), scenario.grid()
-    freqs = grid.frequencies
-    lo = normalized_array_gain(scene, grid, config, float(freqs[0]), clamp=clamp)
-    hi = normalized_array_gain(scene, grid, config, float(freqs[-1]), clamp=clamp)
-    return min(lo, hi)
+    r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
+    phasors = _cascade_phasors(config, r_bs, r_user, grid.c, grid.frequencies[[0, -1]], clamp)
+    return float(_normalized_gains(phasors).min())
 
 
 def run_td_count_sweep(
@@ -190,11 +187,10 @@ def run_td_count_sweep(
 ) -> ResultTable:
     """Edge-subcarrier gain of the DLDD design versus the delta-delay module count."""
     scene, grid = scenario.scene(), scenario.grid()
-    layout = scenario.layout()
     sizes = tuple(partitions) if partitions is not None else scenario.partition_sizes
     rows = []
     for k in sizes:
-        part = SubsurfacePartition.for_layout(layout, k, k)
+        part = SubsurfacePartition.for_layout(scene.layout, k, k)
         config = dldd_design(scene, grid, part)
         rows.append((td_module_count(part), _edge_gains(scenario, config)))
     return ResultTable(

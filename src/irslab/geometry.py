@@ -247,16 +247,10 @@ def fraunhofer_distance(layout: IrsLayout, lambda_c: float) -> float:
 # --- vectorized helpers used by the channel and metric kernels ---
 
 
-def element_offsets(layout: IrsLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Element y/z offsets from the panel center, each (n_y,) / (n_z,)."""
-    oy = (np.arange(layout.n_y) - (layout.n_y - 1) / 2) * layout.d
-    oz = (np.arange(layout.n_z) - (layout.n_z - 1) / 2) * layout.d
-    return oy, oz
-
-
 def element_positions(layout: IrsLayout) -> np.ndarray:
     """All element positions as an (N, 3) array, row-major in (iy, iz)."""
-    oy, oz = element_offsets(layout)
+    oy = (np.arange(layout.n_y) - (layout.n_y - 1) / 2) * layout.d
+    oz = (np.arange(layout.n_z) - (layout.n_z - 1) / 2) * layout.d
     yy, zz = np.meshgrid(oy, oz, indexing="ij")
     return np.stack([np.zeros_like(yy), yy, zz], axis=-1).reshape(-1, 3)
 

@@ -1,8 +1,9 @@
 """Array-gain, beam-pattern and achievable-rate evaluation.
 
 All gains are evaluated against the exact spherical-wave channel regardless of
-which model a beamformer was designed from. Phasor sums run in the fixed
-row-major element order, so results are reproducible bit for bit.
+which model a beamformer was designed from. Per-subcarrier gains come from
+one cascade evaluator (`_cascade_phasors`); the beam pattern shares its
+reflection weights but reduces each plane chunk with a matrix-vector product.
 """
 
 from __future__ import annotations
@@ -14,9 +15,15 @@ import numpy as np
 
 from .beamforming import BeamformerConfig
 from .channel import element_distances
-from .geometry import FrequencyGrid, Point3, Scene, distances_to, element_positions
+from .geometry import FrequencyGrid, Scene, element_positions
 
 GAIN_TOL = 1e-9
+
+
+def _check_gains(gains: np.ndarray) -> None:
+    # written so that NaN fails the check
+    if not np.all((gains >= -GAIN_TOL) & (gains <= 1 + GAIN_TOL)):
+        raise ValueError("gains must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -29,8 +36,7 @@ class GainProfile:
     def __post_init__(self) -> None:
         if self.frequencies.shape != self.gains.shape:
             raise ValueError("frequency and gain arrays must align")
-        if np.any(self.gains < -GAIN_TOL) or np.any(self.gains > 1 + GAIN_TOL):
-            raise ValueError("gains must lie in [0, 1]")
+        _check_gains(self.gains)
 
 
 @dataclass(frozen=True)
@@ -86,8 +92,7 @@ class BeamPattern:
     peaks: tuple[Peak, ...]
 
     def __post_init__(self) -> None:
-        if np.any(self.gains < -GAIN_TOL) or np.any(self.gains > 1 + GAIN_TOL):
-            raise ValueError("gains must lie in [0, 1]")
+        _check_gains(self.gains)
 
 
 @dataclass(frozen=True)
@@ -100,18 +105,27 @@ class RateResult:
     mean_rate: float
 
 
-def _anchor_and_slope(
-    config: BeamformerConfig, f_ref: float, clamp: Optional[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frequency-flat anchor phase and delay slope of the reflection.
+def _cascade_phasors(
+    config: BeamformerConfig,
+    r_bs: np.ndarray,
+    r_user: np.ndarray,
+    c: float,
+    freqs: np.ndarray,
+    clamp: Optional[float] = None,
+) -> np.ndarray:
+    """Cascade x reflection phasor per (element, frequency), shape (N, F).
 
-    The reflection phase at frequency f is anchor - 2*pi*f*tau_real, with the
-    anchor re-folding any clamped-away delay at the design frequency.
+    Entry (n, i) is exp(j*(anchor_n - 2*pi*f_i*((r_bs,n - r_user,n)/c + tau_n))).
     """
-    tau_ideal = config.element_delays()
-    tau_real = config.element_delays(clamp) if clamp is not None else tau_ideal
-    anchor = config.phases.theta - 2 * np.pi * f_ref * (tau_ideal - tau_real)
-    return anchor, tau_real
+    anchor, tau = config.anchor_and_delays(clamp)
+    delta = (r_bs - r_user) / c + tau
+    phasors = 1j * (anchor[:, None] - 2 * np.pi * np.outer(delta, freqs))
+    return np.exp(phasors, out=phasors)
+
+
+def _normalized_gains(phasors: np.ndarray) -> np.ndarray:
+    """(1/N)|sum over elements| per frequency, capped at 1 against rounding."""
+    return np.minimum(np.abs(phasors.sum(axis=0)) / phasors.shape[0], 1.0)
 
 
 def normalized_array_gain(
@@ -120,21 +134,11 @@ def normalized_array_gain(
     config: BeamformerConfig,
     f: float,
     clamp: Optional[float] = None,
-    at_point: Optional[Point3] = None,
 ) -> float:
-    """Normalized array gain (1/N)|sum of cascade x reflection phasors| at f.
-
-    `at_point` replaces the user position for beam-pattern style probing.
-    """
-    r_bs = element_distances(scene, "bs")
-    if at_point is None:
-        r_to = element_distances(scene, "user")
-    else:
-        r_to = distances_to(at_point, element_positions(scene.layout))
-    anchor, tau = _anchor_and_slope(config, config.design_frequency, clamp)
-    delta = (r_bs - r_to) / grid.c + tau
-    phasors = np.exp(1j * (anchor - 2 * np.pi * f * delta))
-    return float(np.abs(phasors.sum()) / phasors.size)
+    """Normalized array gain (1/N)|sum of cascade x reflection phasors| at f."""
+    r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
+    phasors = _cascade_phasors(config, r_bs, r_user, grid.c, np.array([f]), clamp)
+    return float(_normalized_gains(phasors)[0])
 
 
 def gain_profile(
@@ -144,12 +148,9 @@ def gain_profile(
     clamp: Optional[float] = None,
 ) -> GainProfile:
     """Normalized array gain at every subcarrier of the grid."""
-    anchor, tau = _anchor_and_slope(config, config.design_frequency, clamp)
-    delta = (element_distances(scene, "bs") - element_distances(scene, "user")) / grid.c + tau
-    f = grid.frequencies
-    phasors = np.exp(1j * (anchor[:, None] - 2 * np.pi * np.outer(delta, f)))
-    gains = np.abs(phasors.sum(axis=0)) / phasors.shape[0]
-    return GainProfile(frequencies=f, gains=np.minimum(gains, 1.0))
+    r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
+    phasors = _cascade_phasors(config, r_bs, r_user, grid.c, grid.frequencies, clamp)
+    return GainProfile(frequencies=grid.frequencies, gains=_normalized_gains(phasors))
 
 
 def edge_gain(profile: GainProfile) -> float:
@@ -182,14 +183,8 @@ def multi_beam_pattern(
     # per-(config, frequency) element weights: cascade BS side x reflection
     weights = {}
     for name, config in configs.items():
-        anchor, tau = _anchor_and_slope(config, config.design_frequency, clamp)
-        weights[name] = np.exp(
-            1j
-            * (
-                anchor[None, :]
-                - 2 * np.pi * freqs[:, None] * (r_bs[None, :] / grid.c + tau[None, :])
-            )
-        )
+        anchor, tau = config.anchor_and_delays(clamp)
+        weights[name] = np.exp(1j * (anchor - 2 * np.pi * freqs[:, None] * (r_bs / grid.c + tau)))
 
     xs, ys = plane.x_coords(), plane.y_coords()
     px = np.repeat(xs, plane.n_y)
@@ -248,14 +243,10 @@ def cascade_gain_magnitudes(
     Uses the un-normalized channel amplitudes alpha_m/r on both hops, so the
     result is the magnitude of the end-to-end complex gain.
     """
-    r_bs = element_distances(scene, "bs")
-    r_ru = element_distances(scene, "user")
-    anchor, tau = _anchor_and_slope(config, config.design_frequency, clamp)
-    delta = (r_bs - r_ru) / grid.c + tau
-    f = grid.frequencies
-    phasors = np.exp(1j * (anchor[:, None] - 2 * np.pi * np.outer(delta, f)))
-    coherent = np.abs((phasors / (r_bs * r_ru)[:, None]).sum(axis=0))
-    return (grid.c / (4.0 * np.pi * f)) ** 2 * coherent
+    r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
+    phasors = _cascade_phasors(config, r_bs, r_user, grid.c, grid.frequencies, clamp)
+    phasors /= (r_bs * r_user)[:, None]
+    return (grid.c / (4.0 * np.pi * grid.frequencies)) ** 2 * np.abs(phasors.sum(axis=0))
 
 
 def rates_from_gain(

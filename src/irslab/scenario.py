@@ -10,6 +10,7 @@ table.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -33,9 +34,12 @@ class ScenarioError(ValueError):
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ScenarioError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ScenarioError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_int(text: str) -> int:
@@ -45,12 +49,9 @@ def _parse_int(text: str) -> int:
         raise ScenarioError(f"expected an integer, got {text!r}") from None
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(_parse_float(part.strip()) for part in text.split(",") if part.strip())
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(_parse_int(part.strip()) for part in text.split(",") if part.strip())
+def _list_of(parse):
+    """Parser for a comma-separated list of values, each read by `parse`."""
+    return lambda text: tuple(parse(part.strip()) for part in text.split(",") if part.strip())
 
 
 def _parse_spacing(text: str):
@@ -80,9 +81,9 @@ _KEYS = {
     "plane.y_max_m": (_parse_float, 2.0),
     "plane.points_x": (_parse_int, 201),
     "plane.points_y": (_parse_int, 201),
-    "sweep.t_req_ps": (_parse_float_list, tuple(float(t) for t in range(21))),
-    "sweep.partition_sizes": (_parse_int_list, (1, 2, 4, 5, 10, 20, 25, 50)),
-    "rate.p_bs_dbm": (_parse_float_list, tuple(float(p) for p in range(30, 95, 5))),
+    "sweep.t_req_ps": (_list_of(_parse_float), tuple(float(t) for t in range(21))),
+    "sweep.partition_sizes": (_list_of(_parse_int), (1, 2, 4, 5, 10, 20, 25, 50)),
+    "rate.p_bs_dbm": (_list_of(_parse_float), tuple(float(p) for p in range(30, 95, 5))),
     "rate.noise_dbm_hz": (_parse_float, -174.0),
 }
 
@@ -167,21 +168,13 @@ class Scenario:
 
     # --- identity ---
 
-    def canonical_lines(self) -> list[str]:
-        lines = []
-        for key in sorted(self.values):
-            value = self.values[key]
-            if isinstance(value, tuple):
-                rendered = ",".join(repr(v) for v in value)
-            else:
-                rendered = repr(value)
-            lines.append(f"{key}={rendered}")
-        return lines
-
     def digest(self) -> str:
-        """Stable hash of the resolved scenario values."""
-        blob = "\n".join(self.canonical_lines()).encode()
-        return hashlib.sha256(blob).hexdigest()
+        """Stable hash of the resolved scenario values (sorted key=repr lines)."""
+        lines = []
+        for key, value in sorted(self.values.items()):
+            rendered = ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+            lines.append(f"{key}={rendered}")
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def _validate(values: dict) -> None:

@@ -115,13 +115,6 @@ class TestPiecewiseChannel:
         ch = piecewise_channel(small_scene, small_grid, small_partition, "user")
         assert np.allclose(np.abs(ch.gains), 1.0)
 
-    def test_range_scaled_variant_differs(self, small_scene, small_grid, small_partition):
-        a = piecewise_channel(small_scene, small_grid, small_partition, "bs")
-        b = piecewise_channel(
-            small_scene, small_grid, small_partition, "bs", range_scaled_elevation=True
-        )
-        assert not np.allclose(a.gains, b.gains)
-
 
 class TestCascadedDecomposition:
     def test_mirror_symmetric_scene_has_zero_inter(self, mirror_scene):

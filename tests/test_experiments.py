@@ -95,6 +95,11 @@ class TestBeamPatternRunner:
             assert float(fields["y_m"]) == pytest.approx(-1.5, abs=0.051)
             assert float(fields["gain"]) > 0.95
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_frequency_rejected(self, small_scenario, token):
+        with pytest.raises(ScenarioError, match="finite"):
+            run_beam_pattern(small_scenario, frequencies=["fc", token])
+
     def test_explicit_frequency_tokens(self, small_scenario):
         table = run_beam_pattern(small_scenario, design="narrowband", frequencies=["fc"])
         assert len(table.rows) == 11 * 11
@@ -267,6 +272,40 @@ class TestCli:
     def test_bad_design_usage_error(self, scenario_file):
         with pytest.raises(SystemExit) as exc:
             main(["gain-profile", "--scenario", str(scenario_file), "--designs", "bogus"])
+        assert exc.value.code == 2
+
+    def test_non_finite_scenario_exits_nonzero(self, tmp_path, capsys):
+        bad = tmp_path / "nan.scn"
+        bad.write_text(SMALL + "grid.bandwidth_ghz = nan\n")
+        out = tmp_path / "x.csv"
+        assert main(["gain-profile", "--scenario", str(bad), "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_frequencies_exit_nonzero(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "bp.csv"
+        rc = main([
+            "beam-pattern", "--scenario", str(scenario_file),
+            "--frequencies", "nan,inf", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gain-profile", "export-config"])
+    def test_unwritable_out_exits_nonzero(self, scenario_file, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "dir" / "x.csv"
+        rc = main([command, "--scenario", str(scenario_file), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_export_config_has_no_format_option(self, scenario_file, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "export-config", "--scenario", str(scenario_file),
+                "--format", "csv", "--out", str(tmp_path / "cfg.csv"),
+            ])
         assert exc.value.code == 2
 
     def test_beam_pattern_cli(self, scenario_file, tmp_path):

@@ -13,6 +13,7 @@ from irslab.beamforming import (
 )
 from irslab.geometry import FrequencyGrid, Point3
 from irslab.metrics import (
+    BeamPattern,
     EvaluationPlane,
     GainProfile,
     achievable_rate,
@@ -107,6 +108,10 @@ class TestGainProfile:
         with pytest.raises(ValueError):
             GainProfile(frequencies=np.array([1.0, 2.0]), gains=np.array([0.5, 1.5]))
 
+    def test_nan_gain_profile_rejected(self):
+        with pytest.raises(ValueError):
+            GainProfile(frequencies=np.array([1.0, 2.0]), gains=np.array([0.5, np.nan]))
+
 
 class TestEdgeGain:
     def test_flat_profile(self):
@@ -144,6 +149,11 @@ class TestEvaluationPlane:
 
 
 class TestBeamPattern:
+    def test_nan_gains_rejected(self):
+        plane = EvaluationPlane(x_min=1, x_max=2, y_min=0, y_max=1, z=0, n_x=1, n_y=2)
+        with pytest.raises(ValueError):
+            BeamPattern(plane, np.array([3e11]), np.array([[[0.5, np.nan]]]), peaks=())
+
     def test_value_at_user_matches_gain_profile(self, small_scene, small_grid):
         config = narrowband_design(small_scene, small_grid)
         user = small_scene.user

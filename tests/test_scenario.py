@@ -93,6 +93,13 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="square"):
             parse_scenario("irs.n_z = 50\n")
 
+    @pytest.mark.parametrize(
+        "line", ["grid.bandwidth_ghz = nan", "bs.x_m = inf", "rate.p_bs_dbm = 30,-inf"]
+    )
+    def test_non_finite_number_rejected(self, line):
+        with pytest.raises(ScenarioError, match="finite"):
+            parse_scenario(line + "\n")
+
 
 class TestResolvedObjects:
     def test_scene_and_grid(self):
