@@ -20,7 +20,6 @@ from .geometry import (  # noqa: F401
 )
 from .channel import (  # noqa: F401
     CascadedDecomposition,
-    ChannelSet,
     cascaded_decomposition,
     exact_los_channel,
     piecewise_channel,

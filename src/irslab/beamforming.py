@@ -49,7 +49,7 @@ class PhaseShiftConfig:
 
 @dataclass(frozen=True)
 class DlddDelayNetwork:
-    """Two-layer delta-delay network over a k_y x k_z sub-surface grid.
+    """Two-layer delta-delay network over the k_y x k_z sub-surfaces of `partition`.
 
     first_layer holds the k_y - 1 signed row-to-row deltas (built from the
     first column); second_layer holds k_y groups of k_z - 1 signed deltas.
@@ -57,25 +57,26 @@ class DlddDelayNetwork:
     network reproduces; physical module delays are the magnitudes.
     """
 
+    partition: SubsurfacePartition
     first_layer: np.ndarray
     second_layer: np.ndarray
     switch_sign: int
 
     def __post_init__(self) -> None:
-        if self.first_layer.ndim != 1 or self.second_layer.ndim != 2:
-            raise ValueError("first layer must be 1-D, second layer 2-D")
-        if self.second_layer.shape[0] != self.first_layer.shape[0] + 1:
-            raise ValueError("second layer must hold one group per k_y")
+        if self.first_layer.shape != (self.k_y - 1,):
+            raise ValueError("first layer must hold k_y - 1 deltas")
+        if self.second_layer.shape != (self.k_y, self.k_z - 1):
+            raise ValueError("second layer must hold k_y groups of k_z - 1 deltas")
         if self.switch_sign not in (-1, 1):
             raise ValueError("switch_sign must be +1 or -1")
 
     @property
     def k_y(self) -> int:
-        return self.second_layer.shape[0]
+        return self.partition.k_y
 
     @property
     def k_z(self) -> int:
-        return self.second_layer.shape[1] + 1
+        return self.partition.k_z
 
     def module_delays(self) -> np.ndarray:
         """Physical (routed, non-negative) delays of all K-1 modules, flat."""
@@ -92,13 +93,9 @@ class DlddDelayNetwork:
         cols = np.concatenate([np.zeros((self.k_y, 1)), cols], axis=1)
         return rows[:, None] + cols
 
-    def element_delays(
-        self, clamp: Optional[float], partition: Optional[SubsurfacePartition]
-    ) -> np.ndarray:
+    def element_delays(self, clamp: Optional[float]) -> np.ndarray:
         """Signed delay per element, shape (N,): each sub-surface's cumulative delay."""
-        if partition is None:
-            raise ValueError("DLDD configuration needs its partition")
-        s = partition.s
+        s = self.partition.s
         cum = self.cumulative_delays(clamp)
         return np.repeat(np.repeat(cum, s, axis=0), s, axis=1).reshape(-1)
 
@@ -125,8 +122,8 @@ class PerElementDelayConfig:
         if self.tau.ndim != 1 or not np.all(np.isfinite(self.tau)):
             raise ValueError("tau must be a finite flat per-element array")
 
-    def element_delays(self, clamp: Optional[float], partition=None) -> np.ndarray:
-        """The dedicated delays, each saturated at `clamp`; `partition` is unused."""
+    def element_delays(self, clamp: Optional[float]) -> np.ndarray:
+        """The dedicated delays, each saturated at `clamp`."""
         return _saturate(self.tau, clamp)
 
     def max_module_delay(self) -> float:
@@ -142,15 +139,22 @@ DelayNetwork = Union[None, DlddDelayNetwork, PerElementDelayConfig]
 
 @dataclass(frozen=True)
 class BeamformerConfig:
-    """A complete reflection configuration: phases plus an optional delay network."""
+    """A complete reflection configuration: phases plus an optional delay network.
+
+    `delay_cap` is the largest delay a single physical module can realize,
+    seconds (None: unlimited); every module saturates at it.
+    """
 
     design: str
     phases: PhaseShiftConfig
     delay_network: DelayNetwork
-    partition: Optional[SubsurfacePartition]
     design_frequency: float
+    delay_cap: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # written so that NaN fails the check
+        if self.delay_cap is not None and not self.delay_cap >= 0:
+            raise ValueError("delay_cap must be a non-negative number of seconds")
         if self.delay_network is not None and self.element_delays().shape != (self.n_elements,):
             raise ValueError("delay network inconsistent with the phase table size")
 
@@ -158,28 +162,27 @@ class BeamformerConfig:
     def n_elements(self) -> int:
         return self.phases.theta.shape[0]
 
-    def element_delays(self, clamp: Optional[float] = None) -> np.ndarray:
-        """Signed delay seen by each element, shape (N,), row-major order.
+    def element_delays(self) -> np.ndarray:
+        """Signed delay realized by each element, shape (N,), row-major order.
 
-        With `clamp`, every physical module delay saturates at the given
-        value (seconds) before routing.
+        Every physical module delay saturates at `delay_cap` before routing.
         """
-        if clamp is not None and clamp < 0:
-            raise ValueError("clamp must be non-negative")
         if self.delay_network is None:
             return np.zeros(self.n_elements)
-        return self.delay_network.element_delays(clamp, self.partition)
+        return self.delay_network.element_delays(self.delay_cap)
 
-    def anchor_and_delays(self, clamp: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
+    def anchor_and_delays(self) -> tuple[np.ndarray, np.ndarray]:
         """Frequency-flat anchor phase and realized delay of every element.
 
-        The reflection phase at frequency f is anchor - 2*pi*f*tau. With
-        `clamp` the delays saturate and the anchor re-folds the clamped-away
-        delay at the design frequency, so the residual dispersion scales with
-        f - f_c, as in a recalibrated range-limited delay line.
+        The reflection phase at frequency f is anchor - 2*pi*f*tau. Under a
+        `delay_cap` the delays saturate and the anchor re-folds the
+        clamped-away delay at the design frequency, so the residual
+        dispersion scales with f - f_c, as in a recalibrated range-limited
+        delay line.
         """
-        tau_ideal = self.element_delays()
-        tau = self.element_delays(clamp) if clamp is not None else tau_ideal
+        tau = self.element_delays()
+        capped = self.delay_network is not None and self.delay_cap is not None
+        tau_ideal = self.delay_network.element_delays(None) if capped else tau
         anchor = self.phases.theta - 2 * np.pi * self.design_frequency * (tau_ideal - tau)
         return anchor, tau
 
@@ -190,13 +193,10 @@ class BeamformerConfig:
             "design_frequency_hz": self.design_frequency,
             "phases_rad": self.phases.theta.tolist(),
         }
-        if self.partition is not None:
-            out["partition"] = {
-                "k_y": self.partition.k_y,
-                "k_z": self.partition.k_z,
-                "s": self.partition.s,
-            }
         net = self.delay_network
+        partition = getattr(net, "partition", None)
+        if partition is not None:
+            out["partition"] = {"k_y": partition.k_y, "k_z": partition.k_z, "s": partition.s}
         out["delay_network"] = {"type": "none"} if net is None else net.as_dict()
         return out
 
@@ -228,7 +228,6 @@ def narrowband_design(scene: Scene, grid: FrequencyGrid) -> BeamformerConfig:
         design="narrowband",
         phases=PhaseShiftConfig(theta),
         delay_network=None,
-        partition=None,
         design_frequency=grid.f_c,
     )
 
@@ -249,9 +248,7 @@ def _family_signs(values: np.ndarray) -> tuple[bool, int]:
     return False, 1 if pos.sum() >= neg.sum() else -1
 
 
-def sign_consistency_check(
-    decomp: CascadedDecomposition, partition: SubsurfacePartition, c: float
-) -> SignReport:
+def sign_consistency_check(decomp: CascadedDecomposition, c: float) -> SignReport:
     """Verify the sign structure the 2-output switches rely on.
 
     Checks that the dedicated sub-surface delays, the first-layer deltas and
@@ -294,7 +291,7 @@ def dldd_design(
         partition = scene.partition
     decomp = cascaded_decomposition(scene, partition)
     tau = required_subsurface_delays(decomp, grid.c)
-    report = sign_consistency_check(decomp, partition, grid.c)
+    report = sign_consistency_check(decomp, grid.c)
     if not report.consistent:
         warnings.warn(
             SignConsistencyWarning(
@@ -305,6 +302,7 @@ def dldd_design(
             stacklevel=2,
         )
     network = DlddDelayNetwork(
+        partition=partition,
         first_layer=tau[1:, 0] - tau[:-1, 0],
         second_layer=tau[:, 1:] - tau[:, :-1],
         switch_sign=report.sign,
@@ -314,7 +312,6 @@ def dldd_design(
         design="dldd",
         phases=PhaseShiftConfig(theta),
         delay_network=network,
-        partition=partition,
         design_frequency=grid.f_c,
     )
 
@@ -346,21 +343,17 @@ def per_element_td_design(scene: Scene, grid: FrequencyGrid) -> BeamformerConfig
         design="per-element",
         phases=PhaseShiftConfig(theta),
         delay_network=PerElementDelayConfig(tau),
-        partition=None,
         design_frequency=grid.f_c,
     )
 
 
-def effective_reflection(
-    config: BeamformerConfig, f: float, clamp: Optional[float] = None
-) -> np.ndarray:
+def effective_reflection(config: BeamformerConfig, f: float) -> np.ndarray:
     """Per-element unit reflection coefficients at frequency f, shape (N,).
 
-    Unclamped this is exp(j*(theta_n - 2*pi*f*tau_n)); `clamp` (maximum
-    realizable module delay, seconds) re-anchors as in
-    BeamformerConfig.anchor_and_delays.
+    Uncapped this is exp(j*(theta_n - 2*pi*f*tau_n)); a `delay_cap`
+    re-anchors as in BeamformerConfig.anchor_and_delays.
     """
-    anchor, tau = config.anchor_and_delays(clamp)
+    anchor, tau = config.anchor_and_delays()
     return np.exp(1j * (anchor - 2 * np.pi * f * tau))
 
 

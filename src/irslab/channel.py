@@ -25,23 +25,6 @@ from .geometry import (
 
 
 @dataclass(frozen=True)
-class ChannelSet:
-    """Complex gains per (element, subcarrier), shape (N, M).
-
-    `model` is "exact" or "piecewise"; when `normalized` every entry has
-    unit magnitude (free-space amplitudes stripped).
-    """
-
-    model: str
-    normalized: bool
-    gains: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.gains.ndim != 2:
-            raise ValueError("gains must be a 2-D (element, subcarrier) array")
-
-
-@dataclass(frozen=True)
 class CascadedDecomposition:
     """Split of the cascaded path-length difference into sub-surface terms.
 
@@ -80,8 +63,8 @@ def path_length_difference(scene: Scene) -> np.ndarray:
 
 def exact_los_channel(
     scene: Scene, grid: FrequencyGrid, endpoint: str, normalized: bool = False
-) -> ChannelSet:
-    """Exact spherical-wave LoS channel between `endpoint` and every element.
+) -> np.ndarray:
+    """Exact spherical-wave LoS channel between `endpoint` and every element, shape (N, M).
 
     Entry (n, m) is A * exp(-j*2*pi*(f_m/c)*r_n) with r_n the exact
     element distance. A is the free-space amplitude c/(4*pi*f_m*r_n), or 1
@@ -92,7 +75,7 @@ def exact_los_channel(
     gains = np.exp(-2j * np.pi / grid.c * np.outer(r, f))
     if not normalized:
         gains *= (grid.c / (4.0 * np.pi * f))[None, :] / r[:, None]
-    return ChannelSet(model="exact", normalized=normalized, gains=gains)
+    return gains
 
 
 def _to_element_order(per_subsurface_element: np.ndarray) -> np.ndarray:
@@ -128,17 +111,16 @@ def _first_order_terms(
 
 def piecewise_channel(
     scene: Scene, grid: FrequencyGrid, partition: SubsurfacePartition, endpoint: str
-) -> ChannelSet:
+) -> np.ndarray:
     """Piece-wise far-field channel: exact to sub-surface centers, linear within.
 
-    Always unit magnitude. Entry (n, m) carries the phase
+    Unit magnitude, shape (N, M). Entry (n, m) carries the phase
     -2*pi*(f_m/c) * (r_k - dz*d*cos_ele - dy*d*sin_ele*sin_azi) built from
     the element's sub-surface center distance r_k and its intra offsets.
     """
     r, phi = _first_order_terms(scene, partition, endpoint)
     r_lin = _to_element_order(r[:, :, None, None] - phi)
-    gains = np.exp(-2j * np.pi / grid.c * np.outer(r_lin, grid.frequencies))
-    return ChannelSet(model="piecewise", normalized=True, gains=gains)
+    return np.exp(-2j * np.pi / grid.c * np.outer(r_lin, grid.frequencies))
 
 
 def cascaded_decomposition(scene: Scene, partition: SubsurfacePartition) -> CascadedDecomposition:

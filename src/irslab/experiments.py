@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import IO, Optional, Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from .beamforming import (
     td_module_count,
 )
 from .channel import element_distances
-from .geometry import SubsurfacePartition
+from .geometry import FrequencyGrid, SubsurfacePartition
 from .metrics import (
     _cascade_phasors,
     _normalized_gains,
@@ -107,7 +107,7 @@ def build_design(scenario: Scenario, name: str) -> BeamformerConfig:
 
 
 def resolve_frequencies(scenario: Scenario, tokens: Sequence[str | float]) -> list[float]:
-    """Map 'f1' / 'fc' / 'fM' tokens (or explicit finite GHz values) to Hz."""
+    """Map 'f1' / 'fc' / 'fM' tokens (or explicit finite positive GHz values) to Hz."""
     grid = scenario.grid()
     named = {"f1": grid.frequencies[0], "fc": grid.f_c, "fM": grid.frequencies[-1]}
     out = []
@@ -120,6 +120,8 @@ def resolve_frequencies(scenario: Scenario, tokens: Sequence[str | float]) -> li
             ) from None
         if not math.isfinite(hz):
             raise ScenarioError(f"frequency {tok!r} is not a finite GHz value")
+        if hz <= 0:
+            raise ScenarioError(f"frequency {tok!r} must be above 0 GHz")
         out.append(hz)
     return out
 
@@ -174,11 +176,11 @@ def run_beam_pattern(
     )
 
 
-def _edge_gains(scenario: Scenario, config: BeamformerConfig, clamp: Optional[float] = None) -> float:
-    """Smaller of the two edge-subcarrier normalized gains."""
-    scene, grid = scenario.scene(), scenario.grid()
-    r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
-    phasors = _cascade_phasors(config, r_bs, r_user, grid.c, grid.frequencies[[0, -1]], clamp)
+def _edge_gains(
+    config: BeamformerConfig, grid: FrequencyGrid, r_bs: np.ndarray, r_user: np.ndarray
+) -> float:
+    """Smaller of the two edge-subcarrier normalized gains, given both element distances."""
+    phasors = _cascade_phasors(config, r_bs, r_user, grid.c, grid.frequencies[[0, -1]])
     return float(_normalized_gains(phasors).min())
 
 
@@ -187,12 +189,13 @@ def run_td_count_sweep(
 ) -> ResultTable:
     """Edge-subcarrier gain of the DLDD design versus the delta-delay module count."""
     scene, grid = scenario.scene(), scenario.grid()
+    r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
     sizes = tuple(partitions) if partitions is not None else scenario.partition_sizes
     rows = []
     for k in sizes:
         part = SubsurfacePartition.for_layout(scene.layout, k, k)
         config = dldd_design(scene, grid, part)
-        rows.append((td_module_count(part), _edge_gains(scenario, config)))
+        rows.append((td_module_count(part), _edge_gains(config, grid, r_bs, r_user)))
     return ResultTable(
         experiment="td-count-sweep",
         scenario_hash=scenario.digest(),
@@ -208,10 +211,11 @@ def run_delay_range_sweep(
     values = tuple(t_req_s) if t_req_s is not None else scenario.t_req_seconds
     if any(t < 0 for t in values):
         raise ScenarioError("t_req values must be >= 0")
-    dldd = build_design(scenario, "dldd")
-    per_el = build_design(scenario, "per-element")
+    scene, grid = scenario.scene(), scenario.grid()
+    r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
+    designs = (build_design(scenario, "dldd"), build_design(scenario, "per-element"))
     rows = tuple(
-        (t * 1e12, _edge_gains(scenario, dldd, clamp=t), _edge_gains(scenario, per_el, clamp=t))
+        (t * 1e12, *(_edge_gains(replace(d, delay_cap=t), grid, r_bs, r_user) for d in designs))
         for t in values
     )
     return ResultTable(

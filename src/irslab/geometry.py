@@ -126,6 +126,9 @@ class FrequencyGrid:
             raise ValueError("subcarrier count must be >= 1")
         if self.c <= 0:
             raise ValueError("propagation speed must be positive")
+        lowest = self.frequencies[0]
+        if lowest <= 0:
+            raise ValueError(f"lowest subcarrier at {lowest / 1e9:g} GHz must be above 0 GHz")
 
     @property
     def lambda_c(self) -> float:

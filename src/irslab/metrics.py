@@ -9,7 +9,7 @@ reflection weights but reduces each plane chunk with a matrix-vector product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -106,18 +106,13 @@ class RateResult:
 
 
 def _cascade_phasors(
-    config: BeamformerConfig,
-    r_bs: np.ndarray,
-    r_user: np.ndarray,
-    c: float,
-    freqs: np.ndarray,
-    clamp: Optional[float] = None,
+    config: BeamformerConfig, r_bs: np.ndarray, r_user: np.ndarray, c: float, freqs: np.ndarray
 ) -> np.ndarray:
     """Cascade x reflection phasor per (element, frequency), shape (N, F).
 
     Entry (n, i) is exp(j*(anchor_n - 2*pi*f_i*((r_bs,n - r_user,n)/c + tau_n))).
     """
-    anchor, tau = config.anchor_and_delays(clamp)
+    anchor, tau = config.anchor_and_delays()
     delta = (r_bs - r_user) / c + tau
     phasors = 1j * (anchor[:, None] - 2 * np.pi * np.outer(delta, freqs))
     return np.exp(phasors, out=phasors)
@@ -129,27 +124,18 @@ def _normalized_gains(phasors: np.ndarray) -> np.ndarray:
 
 
 def normalized_array_gain(
-    scene: Scene,
-    grid: FrequencyGrid,
-    config: BeamformerConfig,
-    f: float,
-    clamp: Optional[float] = None,
+    scene: Scene, grid: FrequencyGrid, config: BeamformerConfig, f: float
 ) -> float:
     """Normalized array gain (1/N)|sum of cascade x reflection phasors| at f."""
     r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
-    phasors = _cascade_phasors(config, r_bs, r_user, grid.c, np.array([f]), clamp)
+    phasors = _cascade_phasors(config, r_bs, r_user, grid.c, np.array([f]))
     return float(_normalized_gains(phasors)[0])
 
 
-def gain_profile(
-    scene: Scene,
-    grid: FrequencyGrid,
-    config: BeamformerConfig,
-    clamp: Optional[float] = None,
-) -> GainProfile:
+def gain_profile(scene: Scene, grid: FrequencyGrid, config: BeamformerConfig) -> GainProfile:
     """Normalized array gain at every subcarrier of the grid."""
     r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
-    phasors = _cascade_phasors(config, r_bs, r_user, grid.c, grid.frequencies, clamp)
+    phasors = _cascade_phasors(config, r_bs, r_user, grid.c, grid.frequencies)
     return GainProfile(frequencies=grid.frequencies, gains=_normalized_gains(phasors))
 
 
@@ -166,7 +152,6 @@ def multi_beam_pattern(
     configs: dict[str, BeamformerConfig],
     frequencies: Sequence[float],
     plane: EvaluationPlane,
-    clamp: Optional[float] = None,
     chunk: int = 512,
 ) -> dict[str, BeamPattern]:
     """Beam patterns for several configurations over one plane.
@@ -183,7 +168,7 @@ def multi_beam_pattern(
     # per-(config, frequency) element weights: cascade BS side x reflection
     weights = {}
     for name, config in configs.items():
-        anchor, tau = config.anchor_and_delays(clamp)
+        anchor, tau = config.anchor_and_delays()
         weights[name] = np.exp(1j * (anchor - 2 * np.pi * freqs[:, None] * (r_bs / grid.c + tau)))
 
     xs, ys = plane.x_coords(), plane.y_coords()
@@ -223,20 +208,15 @@ def beam_pattern(
     config: BeamformerConfig,
     frequencies: Sequence[float],
     plane: EvaluationPlane,
-    clamp: Optional[float] = None,
     chunk: int = 512,
 ) -> BeamPattern:
     """Array gain over a plane: user-side distances replaced by plane points."""
-    return multi_beam_pattern(
-        scene, grid, {"only": config}, frequencies, plane, clamp=clamp, chunk=chunk
-    )["only"]
+    configs = {"only": config}
+    return multi_beam_pattern(scene, grid, configs, frequencies, plane, chunk=chunk)["only"]
 
 
 def cascade_gain_magnitudes(
-    scene: Scene,
-    grid: FrequencyGrid,
-    config: BeamformerConfig,
-    clamp: Optional[float] = None,
+    scene: Scene, grid: FrequencyGrid, config: BeamformerConfig
 ) -> np.ndarray:
     """|amplitude-weighted cascaded gain| per subcarrier, shape (M,).
 
@@ -244,7 +224,7 @@ def cascade_gain_magnitudes(
     result is the magnitude of the end-to-end complex gain.
     """
     r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
-    phasors = _cascade_phasors(config, r_bs, r_user, grid.c, grid.frequencies, clamp)
+    phasors = _cascade_phasors(config, r_bs, r_user, grid.c, grid.frequencies)
     phasors /= (r_bs * r_user)[:, None]
     return (grid.c / (4.0 * np.pi * grid.frequencies)) ** 2 * np.abs(phasors.sum(axis=0))
 
@@ -268,14 +248,13 @@ def achievable_rate(
     config: BeamformerConfig,
     p_bs: float,
     noise_density: float,
-    clamp: Optional[float] = None,
 ) -> RateResult:
     """Mean spectral efficiency with power split equally over the subcarriers.
 
     Per subcarrier: log2(1 + (P/M) |amplitude-weighted cascaded gain|^2 /
     (N0 * B/M)).
     """
-    gain_mag = cascade_gain_magnitudes(scene, grid, config, clamp)
+    gain_mag = cascade_gain_magnitudes(scene, grid, config)
     rates = rates_from_gain(gain_mag, grid, p_bs, noise_density)
     return RateResult(
         p_bs=p_bs,

@@ -188,6 +188,8 @@ def _validate(values: dict) -> None:
         raise ScenarioError(str(exc)) from None
     if grid.m_count < 2:
         raise ScenarioError("grid.subcarriers must be >= 2 (edge gains need both edges)")
+    if not scenario.partition_sizes:
+        raise ScenarioError("sweep.partition_sizes must not be empty")
     for k in scenario.partition_sizes:
         if k < 1 or layout.n_y % k != 0 or layout.n_z % k != 0:
             raise ScenarioError(

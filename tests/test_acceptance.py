@@ -14,6 +14,7 @@ endpoint across the x-z plane meets every target.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,8 +122,8 @@ def test_criterion_06_clamped_operating_point(env):
 
     def clamped_edge(t_req: float) -> float:
         return min(
-            normalized_array_gain(scene, grid, designs["dldd"], f_lo, clamp=t_req),
-            normalized_array_gain(scene, grid, designs["dldd"], f_hi, clamp=t_req),
+            normalized_array_gain(scene, grid, replace(designs["dldd"], delay_cap=t_req), f_lo),
+            normalized_array_gain(scene, grid, replace(designs["dldd"], delay_cap=t_req), f_hi),
         )
 
     at_9ps = clamped_edge(9e-12)
@@ -224,9 +225,7 @@ def test_criterion_09_sign_consistency_suite(env):
     scenario, scene, grid, _, _ = env
     layout, partition = scenario.layout(), scenario.partition()
 
-    default_report = sign_consistency_check(
-        cascaded_decomposition(scene, partition), partition, grid.c
-    )
+    default_report = sign_consistency_check(cascaded_decomposition(scene, partition), grid.c)
 
     rng = np.random.default_rng(20250810)
     counterexamples = []
@@ -234,9 +233,7 @@ def test_criterion_09_sign_consistency_suite(env):
         near, far = _random_endpoint_pair(rng)
         bs, user = (near, far) if trial % 2 == 0 else (far, near)
         trial_scene = Scene(Point3(*bs), Point3(*user), layout, partition)
-        rep = sign_consistency_check(
-            cascaded_decomposition(trial_scene, partition), partition, grid.c
-        )
+        rep = sign_consistency_check(cascaded_decomposition(trial_scene, partition), grid.c)
         if not rep.consistent:
             counterexamples.append((trial, bs, user, rep.offending_modules[:5]))
     for trial, bs, user, offenders in counterexamples:
@@ -260,7 +257,7 @@ def test_criterion_10_model_fidelity(env):
         for endpoint in ("bs", "user"):
             exact = exact_los_channel(scene, center_grid, endpoint, normalized=True)
             approx = piecewise_channel(scene, center_grid, part, endpoint)
-            err = wrapped_phase_diff(np.angle(exact.gains), np.angle(approx.gains))
+            err = wrapped_phase_diff(np.angle(exact), np.angle(approx))
             worst = max(worst, float(err.max()))
         return worst
 

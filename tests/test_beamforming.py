@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -199,14 +200,14 @@ class TestSignConsistency:
     def test_default_scene_consistent(self):
         scene = default_centers_scene()
         dec = cascaded_decomposition(scene, scene.partition)
-        report = sign_consistency_check(dec, scene.partition, C)
+        report = sign_consistency_check(dec, C)
         assert report.consistent
         assert report.sign == 1  # BS closer than user, so dedicated delays are positive
         assert report.offending_modules == ()
 
     def test_mirror_scene_trivially_consistent(self, mirror_scene):
         dec = cascaded_decomposition(mirror_scene, mirror_scene.partition)
-        report = sign_consistency_check(dec, mirror_scene.partition, C)
+        report = sign_consistency_check(dec, C)
         assert report.consistent
 
     def test_inconsistent_scene_warns_and_proceeds(self):
@@ -219,7 +220,7 @@ class TestSignConsistency:
         )
         grid = FrequencyGrid(f_c=300e9, bandwidth=30e9, m_count=4)
         dec = cascaded_decomposition(scene, part)
-        report = sign_consistency_check(dec, part, C)
+        report = sign_consistency_check(dec, C)
         assert not report.consistent
         assert len(report.offending_modules) > 0
         with pytest.warns(SignConsistencyWarning) as record:
@@ -295,13 +296,13 @@ class TestEffectiveReflection:
 
     def test_unit_magnitude(self, small_scene, small_grid):
         config = dldd_design(small_scene, small_grid)
-        coeff = effective_reflection(config, small_grid.frequencies[0], clamp=2e-12)
+        coeff = effective_reflection(replace(config, delay_cap=2e-12), small_grid.frequencies[0])
         assert np.allclose(np.abs(coeff), 1.0)
 
     def test_negative_clamp_rejected(self, small_scene, small_grid):
         config = dldd_design(small_scene, small_grid)
         with pytest.raises(ValueError):
-            effective_reflection(config, 300e9, clamp=-1e-12)
+            effective_reflection(replace(config, delay_cap=-1e-12), 300e9)
 
     def test_fully_clamped_per_element_equals_narrowband(self, small_scene, small_grid):
         # with all delays clamped to zero the re-anchored phases reproduce the
@@ -309,7 +310,7 @@ class TestEffectiveReflection:
         pe = per_element_td_design(small_scene, small_grid)
         nb = narrowband_design(small_scene, small_grid)
         for f in (small_grid.frequencies[0], small_grid.f_c, small_grid.frequencies[-1]):
-            a = effective_reflection(pe, float(f), clamp=0.0)
+            a = effective_reflection(replace(pe, delay_cap=0.0), float(f))
             b = effective_reflection(nb, float(f))
             assert np.allclose(a, b, atol=1e-9)
 
@@ -318,13 +319,13 @@ class TestEffectiveReflection:
         cap = required_delay_range(config)
         f = float(small_grid.frequencies[-1])
         assert np.allclose(
-            effective_reflection(config, f, clamp=cap), effective_reflection(config, f)
+            effective_reflection(replace(config, delay_cap=cap), f), effective_reflection(config, f)
         )
 
     def test_center_frequency_response_unchanged_by_clamp(self, small_scene, small_grid):
         config = dldd_design(small_scene, small_grid)
         a = effective_reflection(config, small_grid.f_c)
-        b = effective_reflection(config, small_grid.f_c, clamp=1e-12)
+        b = effective_reflection(replace(config, delay_cap=1e-12), small_grid.f_c)
         assert np.allclose(a, b, atol=1e-12)
 
 
@@ -335,7 +336,6 @@ class TestGlobalOffsetInvariance:
             design=config.design,
             phases=PhaseShiftConfig(np.mod(config.phases.theta + 1.234, 2 * np.pi)),
             delay_network=None,
-            partition=None,
             design_frequency=config.design_frequency,
         )
         a = gain_profile(small_scene, small_grid, config).gains
@@ -348,7 +348,6 @@ class TestGlobalOffsetInvariance:
             design=config.design,
             phases=config.phases,
             delay_network=PerElementDelayConfig(config.delay_network.tau + 5e-12),
-            partition=None,
             design_frequency=config.design_frequency,
         )
         a = gain_profile(small_scene, small_grid, config).gains
@@ -395,3 +394,37 @@ def test_narrowband_cancellation_for_random_scenes(bs, user):
     grid = FrequencyGrid(f_c=300e9, bandwidth=10e9, m_count=2)
     config = narrowband_design(scene, grid)
     assert normalized_array_gain(scene, grid, config, grid.f_c) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestDelayCap:
+    def test_nan_cap_rejected(self, small_scene, small_grid):
+        config = dldd_design(small_scene, small_grid)
+        with pytest.raises(ValueError, match="delay_cap"):
+            replace(config, delay_cap=float("nan"))
+
+    def test_cap_saturates_every_module(self, small_scene, small_grid):
+        config = dldd_design(small_scene, small_grid)
+        capped = replace(config, delay_cap=1e-12)
+        net = config.delay_network
+        assert np.array_equal(capped.element_delays(), net.element_delays(1e-12))
+        assert np.array_equal(config.element_delays(), net.element_delays(None))
+
+    def test_cap_is_not_exported(self, small_scene, small_grid):
+        config = dldd_design(small_scene, small_grid)
+        assert replace(config, delay_cap=1e-12).as_dict() == config.as_dict()
+
+
+class TestDlddNetworkPartition:
+    def test_layers_must_match_partition(self, small_scene, small_grid):
+        net = dldd_design(small_scene, small_grid).delay_network
+        with pytest.raises(ValueError, match="second layer"):
+            replace(net, partition=SubsurfacePartition(4, 5, 5))
+        with pytest.raises(ValueError, match="first layer"):
+            replace(net, partition=SubsurfacePartition(5, 4, 5))
+
+    def test_element_delays_follow_own_partition(self, small_scene, small_grid):
+        net = dldd_design(small_scene, small_grid).delay_network
+        assert (net.k_y, net.k_z) == (4, 4)
+        delays = net.element_delays(None).reshape(20, 20)
+        cum = net.cumulative_delays()
+        assert delays[7, 13] == cum[1, 2]

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from irslab import experiments
+from irslab.channel import element_distances
 from irslab.cli import main
 from irslab.experiments import (
     export_config,
@@ -100,6 +102,11 @@ class TestBeamPatternRunner:
         with pytest.raises(ScenarioError, match="finite"):
             run_beam_pattern(small_scenario, frequencies=["fc", token])
 
+    @pytest.mark.parametrize("token", ["-300", "0", "-0.0"])
+    def test_nonpositive_frequency_rejected(self, small_scenario, token):
+        with pytest.raises(ScenarioError, match="above 0 GHz"):
+            run_beam_pattern(small_scenario, frequencies=["fc", token])
+
     def test_explicit_frequency_tokens(self, small_scenario):
         table = run_beam_pattern(small_scenario, design="narrowband", frequencies=["fc"])
         assert len(table.rows) == 11 * 11
@@ -149,6 +156,18 @@ class TestDelayRangeSweep:
     def test_negative_cap_rejected(self, small_scenario):
         with pytest.raises(ScenarioError):
             run_delay_range_sweep(small_scenario, t_req_s=(-1e-12,))
+
+
+class TestSweepDistances:
+    @pytest.mark.parametrize("run", [run_td_count_sweep, run_delay_range_sweep])
+    def test_computed_once_per_endpoint(self, small_scenario, monkeypatch, run):
+        calls = []
+        monkeypatch.setattr(
+            experiments, "element_distances",
+            lambda scene, endpoint: calls.append(endpoint) or element_distances(scene, endpoint),
+        )
+        run(small_scenario)
+        assert sorted(calls) == ["bs", "user"]
 
 
 class TestRateSweep:
@@ -290,6 +309,24 @@ class TestCli:
         ])
         assert rc == 1
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nonpositive_frequencies_exit_nonzero(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "bp.csv"
+        rc = main([
+            "beam-pattern", "--scenario", str(scenario_file),
+            "--frequencies=-300,0", "--out", str(out),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_band_below_zero_hz_exits_nonzero(self, tmp_path, capsys):
+        bad = tmp_path / "low.scn"
+        bad.write_text("grid.f_c_ghz = 10\ngrid.bandwidth_ghz = 30\n")
+        out = tmp_path / "x.csv"
+        assert main(["gain-profile", "--scenario", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: lowest subcarrier")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gain-profile", "export-config"])

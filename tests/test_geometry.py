@@ -245,6 +245,12 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             FrequencyGrid(f_c=1e9, bandwidth=1e9, m_count=0)
 
+    @pytest.mark.parametrize("f_c, bandwidth, m_count", [(10e9, 30e9, 128), (1e9, 4e9, 2)])
+    def test_nonpositive_lowest_subcarrier_rejected(self, f_c, bandwidth, m_count):
+        # the second grid puts its lowest subcarrier exactly at 0 Hz
+        with pytest.raises(ValueError, match="lowest subcarrier"):
+            FrequencyGrid(f_c=f_c, bandwidth=bandwidth, m_count=m_count)
+
 
 class TestSceneAndPartition:
     def test_partition_divisibility(self):

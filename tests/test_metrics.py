@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,6 @@ def phase_config(theta, f_c=300e9):
         design="narrowband",
         phases=PhaseShiftConfig(np.mod(theta, 2 * np.pi)),
         delay_network=None,
-        partition=None,
         design_frequency=f_c,
     )
 
@@ -253,7 +254,7 @@ class TestClampedGain:
         pe = per_element_td_design(small_scene, small_grid)
         nb = narrowband_design(small_scene, small_grid)
         f = float(small_grid.frequencies[0])
-        a = normalized_array_gain(small_scene, small_grid, pe, f, clamp=0.0)
+        a = normalized_array_gain(small_scene, small_grid, replace(pe, delay_cap=0.0), f)
         b = normalized_array_gain(small_scene, small_grid, nb, f)
         assert a == pytest.approx(b, abs=1e-9)
 
@@ -264,7 +265,7 @@ class TestClampedGain:
         f = float(small_grid.frequencies[0])
         caps = np.linspace(0, 5e-12, 11)
         gains = [
-            normalized_array_gain(small_scene, small_grid, config, f, clamp=float(t))
+            normalized_array_gain(small_scene, small_grid, replace(config, delay_cap=float(t)), f)
             for t in caps
         ]
         assert all(b >= a - 1e-9 for a, b in zip(gains, gains[1:]))

@@ -81,6 +81,14 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="partition_sizes"):
             parse_scenario("sweep.partition_sizes = 1,3\n")
 
+    def test_empty_partition_sizes_rejected(self):
+        with pytest.raises(ScenarioError, match="partition_sizes must not be empty"):
+            parse_scenario("sweep.partition_sizes =\n")
+
+    def test_band_reaching_zero_hz_rejected(self):
+        with pytest.raises(ScenarioError, match="lowest subcarrier"):
+            parse_scenario("grid.f_c_ghz = 10\ngrid.bandwidth_ghz = 30\n")
+
     def test_negative_t_req_rejected(self):
         with pytest.raises(ScenarioError, match="t_req"):
             parse_scenario("sweep.t_req_ps = 0,-1\n")
