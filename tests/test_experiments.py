@@ -162,10 +162,12 @@ class TestSweepDistances:
     @pytest.mark.parametrize("run", [run_td_count_sweep, run_delay_range_sweep])
     def test_computed_once_per_endpoint(self, small_scenario, monkeypatch, run):
         calls = []
-        monkeypatch.setattr(
-            experiments, "element_distances",
-            lambda scene, endpoint: calls.append(endpoint) or element_distances(scene, endpoint),
-        )
+
+        def counting(scene, endpoint):
+            calls.append(endpoint)
+            return element_distances(scene, endpoint)
+
+        monkeypatch.setattr(experiments, "element_distances", counting)
         run(small_scenario)
         assert sorted(calls) == ["bs", "user"]
 
