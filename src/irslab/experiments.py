@@ -25,8 +25,7 @@ from .beamforming import (
 from .channel import element_distances
 from .geometry import FrequencyGrid, SubsurfacePartition
 from .metrics import (
-    _cascade_phasors,
-    _normalized_gains,
+    _cascade_sums,
     beam_pattern,
     cascade_gain_magnitudes,
     gain_profile,
@@ -180,8 +179,9 @@ def _edge_gains(
     config: BeamformerConfig, grid: FrequencyGrid, r_bs: np.ndarray, r_user: np.ndarray
 ) -> float:
     """Smaller of the two edge-subcarrier normalized gains, given both element distances."""
-    phasors = _cascade_phasors(config, r_bs, r_user, grid.c, grid.frequencies[[0, -1]])
-    return float(_normalized_gains(phasors).min())
+    f1, f_m = grid.frequencies[[0, -1]]
+    sums = _cascade_sums(config, r_bs, r_user, grid.c, f1, f_m - f1, 2)
+    return min(float(np.abs(sums).min()) / r_bs.size, 1.0)
 
 
 def run_td_count_sweep(

@@ -2,13 +2,13 @@
 
 All gains are evaluated against the exact spherical-wave channel regardless of
 which model a beamformer was designed from. Per-subcarrier gains come from
-one cascade evaluator (`_cascade_phasors`); the beam pattern shares its
-reflection weights but reduces each plane chunk with a matrix-vector product.
+one cascade kernel (`_cascade_sums`), a matrix product of block-start and offset
+phasor tables; the beam pattern reduces each plane chunk with a matrix-vector product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -105,38 +105,37 @@ class RateResult:
     mean_rate: float
 
 
-def _cascade_phasors(
-    config: BeamformerConfig, r_bs: np.ndarray, r_user: np.ndarray, c: float, freqs: np.ndarray
+def _cascade_sums(
+    config: BeamformerConfig, r_bs: np.ndarray, r_user: np.ndarray, c: float,
+    f0: float, df: float, count: int, weights: float | np.ndarray = 1.0,
 ) -> np.ndarray:
-    """Cascade x reflection phasor per (element, frequency), shape (N, F).
+    """Sums over the elements of w_n exp(j*(anchor_n - 2*pi*f_i*delta_n)), f_i = f0 + i*df.
 
-    Entry (n, i) is exp(j*(anchor_n - 2*pi*f_i*((r_bs,n - r_user,n)/c + tau_n))).
+    delta_n = (r_bs,n - r_user,n)/c + tau_n. Subcarrier i = b*B + k, B = ceil(sqrt(count)), is
+    an exact exp at its block start times one at k*df: one matrix product gives every sum.
     """
     anchor, tau = config.anchor_and_delays()
     delta = (r_bs - r_user) / c + tau
-    phasors = 1j * (anchor[:, None] - 2 * np.pi * np.outer(delta, freqs))
-    return np.exp(phasors, out=phasors)
-
-
-def _normalized_gains(phasors: np.ndarray) -> np.ndarray:
-    """(1/N)|sum over elements| per frequency, capped at 1 against rounding."""
-    return np.minimum(np.abs(phasors.sum(axis=0)) / phasors.shape[0], 1.0)
+    block = int(np.ceil(np.sqrt(count)))
+    starts = f0 + df * np.arange(0, count, block)
+    rows = weights * np.exp(1j * (anchor - 2 * np.pi * np.outer(starts, delta)))
+    offsets = np.exp(-2j * np.pi * np.outer(delta, df * np.arange(block)))
+    return (rows @ offsets).ravel()[:count]
 
 
 def normalized_array_gain(
     scene: Scene, grid: FrequencyGrid, config: BeamformerConfig, f: float
 ) -> float:
-    """Normalized array gain (1/N)|sum of cascade x reflection phasors| at f."""
-    r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
-    phasors = _cascade_phasors(config, r_bs, r_user, grid.c, np.array([f]))
-    return float(_normalized_gains(phasors)[0])
+    """Normalized array gain (1/N)|sum of cascade phasors| at f: a one-subcarrier profile."""
+    return float(gain_profile(scene, replace(grid, f_c=f, m_count=1), config).gains[0])
 
 
 def gain_profile(scene: Scene, grid: FrequencyGrid, config: BeamformerConfig) -> GainProfile:
     """Normalized array gain at every subcarrier of the grid."""
     r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
-    phasors = _cascade_phasors(config, r_bs, r_user, grid.c, grid.frequencies)
-    return GainProfile(frequencies=grid.frequencies, gains=_normalized_gains(phasors))
+    f, df = grid.frequencies, grid.bandwidth / grid.m_count
+    sums = _cascade_sums(config, r_bs, r_user, grid.c, f[0], df, f.size)
+    return GainProfile(frequencies=f, gains=np.minimum(np.abs(sums) / r_bs.size, 1.0))
 
 
 def edge_gain(profile: GainProfile) -> float:
@@ -224,9 +223,9 @@ def cascade_gain_magnitudes(
     result is the magnitude of the end-to-end complex gain.
     """
     r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
-    phasors = _cascade_phasors(config, r_bs, r_user, grid.c, grid.frequencies)
-    phasors /= (r_bs * r_user)[:, None]
-    return (grid.c / (4.0 * np.pi * grid.frequencies)) ** 2 * np.abs(phasors.sum(axis=0))
+    f, df = grid.frequencies, grid.bandwidth / grid.m_count
+    sums = _cascade_sums(config, r_bs, r_user, grid.c, f[0], df, f.size, 1 / (r_bs * r_user))
+    return (grid.c / (4.0 * np.pi * f)) ** 2 * np.abs(sums)
 
 
 def rates_from_gain(

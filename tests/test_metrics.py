@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from irslab.beamforming import (
     narrowband_design,
     per_element_td_design,
 )
+from irslab.experiments import DESIGN_NAMES, build_design
 from irslab.geometry import FrequencyGrid, Point3
 from irslab.metrics import (
     BeamPattern,
@@ -20,11 +22,13 @@ from irslab.metrics import (
     GainProfile,
     achievable_rate,
     beam_pattern,
+    cascade_gain_magnitudes,
     edge_gain,
     gain_profile,
     multi_beam_pattern,
     normalized_array_gain,
 )
+from irslab.scenario import parse_scenario
 
 
 def phase_config(theta, f_c=300e9):
@@ -269,3 +273,20 @@ class TestClampedGain:
             for t in caps
         ]
         assert all(b >= a - 1e-9 for a, b in zip(gains, gains[1:]))
+
+
+class TestWidebandMemory:
+    def test_per_subcarrier_metrics_hold_no_element_by_subcarrier_array(self):
+        # one (N, F) complex phasor array at N = 10^4, F = 2048 would alone take 328 MB
+        scenario = parse_scenario("grid.subcarriers = 2048")
+        scene, grid = scenario.scene(), scenario.grid()
+        configs = [build_design(scenario, name) for name in DESIGN_NAMES]
+        tracemalloc.start()
+        try:
+            for config in configs:
+                gain_profile(scene, grid, config)
+                cascade_gain_magnitudes(scene, grid, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
