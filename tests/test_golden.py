@@ -27,8 +27,8 @@ SWEEP_TOL = 1e-13
 
 GOLDEN_DIGESTS = {
     "default.scn": {
-        "gain-profile": "24a2329231605a5e8bb9670ba717f1891b830dd6c7bdc99f1877795a77ad0b6a",
-        "rate-sweep": "2c45d88ae1a76b351aa777c3e54491247d0e6d67b7fddef28f874f24ac3c02ed",
+        "gain-profile": "d31fb16abb2a5d6bbdf8fbd6ac14a5c5825fa12d1b6978bc655d3a1a278177f7",
+        "rate-sweep": "974cc150b6e8136617e1605e1dc1138e0575bf4a75ad12795f66cc017672202d",
         "export-config/narrowband": "a8524d65bd26d412269782f05b2956ab3bf5c0976724bf1b2e3e6a319c3828a1",
         "beam-pattern/narrowband": "571bc9a01b07c0ea952cd73920f6c3bd890bd2c7f511e1d54097baf297e1c76d",
         "export-config/dldd": "e4b961a4f1babacf952fdffde9bc7b4357f9789715a39f9fa285b2dd7baa2759",
@@ -37,8 +37,8 @@ GOLDEN_DIGESTS = {
         "beam-pattern/per-element": "cabe958039739b7493e5e284047a8c158de5a94ba516dd4394c304cdfd86a110",
     },
     "mirrored-y.scn": {
-        "gain-profile": "4bd3a577b8562ea262c4af317fb13d476753edf81ac01c875b4e4b4faa6fca7e",
-        "rate-sweep": "1fd75962c78ed8c3912093c7351f3102e469f28bfd41b141119507b232db3a0a",
+        "gain-profile": "b2f49a937039015d89a504c05434a39ea1968a69dabb49c61f0e19ba97dff0d8",
+        "rate-sweep": "8b21a676efe5b4de0e4ad8688853dcb70393e4df132a6185790fa5d141be6f96",
         "export-config/narrowband": "f34f804356024b2fb68cdb881aca15ba70b69fdc7c99d8d925528f9deb2bf062",
         "beam-pattern/narrowband": "f642b4d539d7abe28cd848384914ed44fe7af15b1067af743626c2875a8c04c2",
         "export-config/dldd": "b08c381a7af93a0587cf1a0c4792a93b74c3ced7a9c68282d02558b8a071acfe",
