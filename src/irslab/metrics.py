@@ -163,7 +163,6 @@ def multi_beam_pattern(
     pos = element_positions(scene.layout)
     el_y, el_z = pos[:, 1], pos[:, 2]
     r_bs = element_distances(scene, "bs")
-    n = pos.shape[0]
     # per-(config, frequency) element weights: cascade BS side x reflection
     weights = {}
     for name, config in configs.items():
@@ -183,9 +182,10 @@ def multi_beam_pattern(
             + (plane.z - el_z[None, :]) ** 2
         )
         for i, f in enumerate(freqs):
-            phasors = np.exp(2j * np.pi * f / grid.c * r_p)
+            phasors = 2j * np.pi * f / grid.c * r_p
+            np.exp(phasors, out=phasors)
             for name in configs:
-                gains[name][i, sl] = np.abs(phasors @ weights[name][i]) / n
+                gains[name][i, sl] = np.abs(phasors @ weights[name][i]) / r_bs.size
 
     out = {}
     for name in configs:
