@@ -39,8 +39,8 @@ def _designs_arg(text: str) -> list[str]:
             raise argparse.ArgumentTypeError(
                 f"unknown design {name!r}; choose from {', '.join(DESIGN_NAMES)}"
             )
-    if not names:
-        raise argparse.ArgumentTypeError("at least one design is required")
+    if not names or len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError("name at least one design, each at most once")
     return names
 
 

@@ -295,6 +295,21 @@ class TestCli:
             main(["gain-profile", "--scenario", str(scenario_file), "--designs", "bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command, designs", [
+        ("gain-profile", "dldd,dldd"),
+        ("rate-sweep", "narrowband,narrowband"),
+        ("rate-sweep", "dldd,per-element,dldd"),
+    ])
+    def test_duplicate_designs_usage_error(self, scenario_file, tmp_path, capsys,
+                                           command, designs):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", str(scenario_file), "--designs", designs,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "at most once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_scenario_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "nan.scn"
         bad.write_text(SMALL + "grid.bandwidth_ghz = nan\n")
