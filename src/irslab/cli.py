@@ -44,6 +44,13 @@ def _designs_arg(text: str) -> list[str]:
     return names
 
 
+def _frequencies_arg(text: str) -> list[str]:
+    tokens = _tokens_arg(text)
+    if not tokens:
+        raise argparse.ArgumentTypeError("name at least one frequency")
+    return tokens
+
+
 # subcommand -> (help, runner(scenario, args) returning a ResultTable or a JSON-ready dict)
 COMMANDS = {
     "gain-profile": ("array gain per subcarrier per design",
@@ -82,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("gain-profile", "rate-sweep"):
         subs[name].add_argument("--designs", type=_designs_arg, default=list(DESIGN_NAMES))
     subs["beam-pattern"].add_argument("--design", choices=DESIGN_NAMES, default="narrowband")
-    subs["beam-pattern"].add_argument("--frequencies", type=_tokens_arg,
+    subs["beam-pattern"].add_argument("--frequencies", type=_frequencies_arg,
                                       default=list(FREQUENCY_TOKENS),
                                       help="comma list of f1/fc/fM tokens or GHz values")
     subs["export-config"].add_argument("--design", choices=DESIGN_NAMES, default="dldd")

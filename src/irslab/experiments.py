@@ -106,10 +106,13 @@ def build_design(scenario: Scenario, name: str) -> BeamformerConfig:
 
 
 def resolve_frequencies(scenario: Scenario, tokens: Sequence[str | float]) -> list[float]:
-    """Map 'f1' / 'fc' / 'fM' tokens (or explicit finite positive GHz values) to Hz."""
+    """Map 'f1' / 'fc' / 'fM' tokens (or explicit finite positive GHz values) to Hz.
+
+    Tokens may come in any order, but no two may resolve to the same frequency.
+    """
     grid = scenario.grid()
     named = {"f1": grid.frequencies[0], "fc": grid.f_c, "fM": grid.frequencies[-1]}
-    out = []
+    out: dict[float, str | float] = {}
     for tok in tokens:
         try:
             hz = float(named[tok]) if tok in named else float(tok) * 1e9
@@ -121,8 +124,10 @@ def resolve_frequencies(scenario: Scenario, tokens: Sequence[str | float]) -> li
             raise ScenarioError(f"frequency {tok!r} is not a finite GHz value")
         if hz <= 0:
             raise ScenarioError(f"frequency {tok!r} must be above 0 GHz")
-        out.append(hz)
-    return out
+        if hz in out:
+            raise ScenarioError(f"frequency {tok!r} repeats {out[hz]!r} ({hz / 1e9!r} GHz)")
+        out[hz] = tok
+    return list(out)
 
 
 def run_gain_profile(

@@ -117,6 +117,25 @@ class TestBeamPatternRunner:
         with pytest.raises(ScenarioError, match="frequency token"):
             run_beam_pattern(small_scenario, frequencies=["fQ"])
 
+    @pytest.mark.parametrize("tokens", [
+        ["fc", "fc"], ["f1", "fM", "f1"], ["fc", "300"], ["300", "3e2"], [300.0, "fc"],
+    ])
+    def test_repeated_frequency_rejected(self, small_scenario, tokens):
+        with pytest.raises(ScenarioError, match="repeats"):
+            run_beam_pattern(small_scenario, frequencies=tokens)
+
+    def test_token_order_is_free(self, small_scenario):
+        grid = small_scenario.grid()
+        up = run_beam_pattern(small_scenario, frequencies=["f1", "fc", "fM"])
+        down = run_beam_pattern(small_scenario, frequencies=["fM", "fc", "f1"])
+        block = 11 * 11
+        assert [down.rows[i * block][0] for i in range(3)] == [
+            grid.frequencies[-1] / 1e9, grid.f_c / 1e9, grid.frequencies[0] / 1e9
+        ]
+        for i in range(3):
+            assert down.rows[i * block:(i + 1) * block] == up.rows[(2 - i) * block:(3 - i) * block]
+        assert down.comments == up.comments[::-1]
+
 
 class TestTdCountSweep:
     def test_module_counts(self, small_scenario):
@@ -326,6 +345,26 @@ class TestCli:
         ])
         assert rc == 1
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("frequencies", [",", " , ", ""])
+    def test_empty_frequencies_usage_error(self, scenario_file, tmp_path, capsys, frequencies):
+        out = tmp_path / "bp.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["beam-pattern", "--scenario", str(scenario_file),
+                  "--frequencies", frequencies, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "at least one frequency" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("frequencies", ["fc,fc", "fc,300", "fM,f1,fM"])
+    def test_repeated_frequencies_exit_nonzero(self, scenario_file, tmp_path, capsys,
+                                               frequencies):
+        out = tmp_path / "bp.csv"
+        rc = main(["beam-pattern", "--scenario", str(scenario_file),
+                   "--frequencies", frequencies, "--out", str(out)])
+        assert rc == 1
+        assert "repeats" in capsys.readouterr().err
         assert not out.exists()
 
     def test_nonpositive_frequencies_exit_nonzero(self, scenario_file, tmp_path, capsys):
