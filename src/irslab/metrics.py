@@ -3,11 +3,15 @@
 All gains are evaluated against the exact spherical-wave channel regardless of
 which model a beamformer was designed from. Per-subcarrier gains come from
 one cascade kernel (`_cascade_sums`), a matrix product of block-start and offset
-phasor tables; the beam pattern reduces each plane chunk with a matrix-vector product.
+phasor tables. The beam pattern (`multi_beam_pattern`) runs chunks of plane points,
+sized by one byte budget, on a thread per usable CPU, and sums each point over the
+elements with `np.einsum`: no BLAS, so its gains do not depend on the split.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -18,6 +22,8 @@ from .channel import element_distances
 from .geometry import FrequencyGrid, Scene, element_positions
 
 GAIN_TOL = 1e-9
+# bytes of beam-pattern temporaries that all worker threads together may hold
+_PLANE_BYTES = 32 * 2**20
 
 
 def _check_gains(gains: np.ndarray) -> None:
@@ -145,51 +151,163 @@ def edge_gain(profile: GainProfile) -> float:
     return float(min(profile.gains[0], profile.gains[-1]))
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_threads(task, items: Sequence, workers: int) -> None:
+    """Call task(item) for every item on `workers` threads, the calling one included.
+
+    Items are taken in turn from one shared queue. The first exception raised by
+    any call stops the others taking new items and is re-raised here.
+    """
+    queue, lock, errors = iter(items), threading.Lock(), []
+
+    def drain() -> None:
+        while not errors:
+            with lock:
+                item = next(queue, None)
+            if item is None:
+                return
+            try:
+                task(item)
+            except BaseException as exc:  # re-raised in the calling thread below
+                errors.append(exc)
+
+    threads = [threading.Thread(target=drain) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        drain()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _symmetric_triple(freqs: np.ndarray) -> tuple[int, int, int] | None:
+    """Indices (low, centre, high) if freqs is f_p - d, f_p, f_p + d in some order, else None.
+
+    The two offsets must be equal in floating point and d below f_p / 2: then the
+    three phases k*r lie within a factor of 2 of each other, so the differences
+    `_plane_sums` takes between them are exact (Sterbenz).
+    """
+    if freqs.size != 3:
+        return None
+    lo, mid, hi = (int(i) for i in np.argsort(freqs, kind="stable"))
+    if freqs[mid] - freqs[lo] != freqs[hi] - freqs[mid] or 2 * freqs[lo] <= freqs[mid]:
+        return None
+    return lo, mid, hi
+
+
+def _plane_sums(
+    r: np.ndarray, ks: np.ndarray, weights: np.ndarray, triple: tuple[int, int, int] | None,
+) -> np.ndarray:
+    """|sum over the elements of exp(j k_i r_pn) w_cin| for distances r of shape (P, N).
+
+    Returns shape (C, F, P) for weights of shape (C, F, N); r is overwritten.
+    Every phase is rounded as fl(k_i r), whichever path runs. With a symmetric
+    triple only two exponentials are taken: E = exp(j theta_p) at the centre and
+    D = exp(j delta) with delta = theta_lo - theta_p. The low frequency is E*D and
+    the high one E*conj(D)*(1 + j eps), where eps = theta_hi - theta_p + delta is
+    a few ulp of theta (1 + j eps is exp(j eps) to ~eps^2). Pure NumPy and no
+    BLAS, so it is safe on worker threads and each sum runs over the elements in
+    order.
+    """
+    out = np.empty((weights.shape[0], ks.size, r.shape[0]))
+    phasor = np.zeros(r.shape, dtype=complex)
+    if triple is None:
+        for i, k in enumerate(ks):
+            phasor.real = 0.0
+            np.multiply(r, k, out=phasor.imag)
+            np.exp(phasor, out=phasor)
+            for c, w in enumerate(weights):
+                out[c, i] = np.abs(np.einsum("pn,n->p", phasor, w[i]))
+        return out
+    lo, mid, hi = triple
+    step = np.zeros_like(phasor)
+    np.multiply(r, ks[mid], out=phasor.imag)  # theta_p
+    np.multiply(r, ks[lo], out=step.imag)
+    step.imag -= phasor.imag  # delta
+    r *= ks[hi]
+    r -= phasor.imag
+    r += step.imag  # eps
+    np.exp(phasor, out=phasor)
+    np.exp(step, out=step)
+    for c, w in enumerate(weights):
+        out[c, mid] = np.abs(np.einsum("pn,n->p", phasor, w[mid]))
+        out[c, lo] = np.abs(np.einsum("pn,pn,n->p", phasor, step, w[lo]))
+    np.conjugate(step, out=step)
+    step *= phasor
+    # step *= 1 + j*eps, in place; phasor's real half is free scratch from here on
+    np.multiply(step.imag, r, out=phasor.real)
+    r *= step.real
+    step.real -= phasor.real
+    step.imag += r
+    for c, w in enumerate(weights):
+        out[c, hi] = np.abs(np.einsum("pn,n->p", step, w[hi]))
+    return out
+
+
 def multi_beam_pattern(
     scene: Scene,
     grid: FrequencyGrid,
     configs: dict[str, BeamformerConfig],
     frequencies: Sequence[float],
     plane: EvaluationPlane,
-    chunk: int = 512,
 ) -> dict[str, BeamPattern]:
     """Beam patterns for several configurations over one plane.
 
-    Element-to-point distances and the per-frequency point phasors are
-    computed once per chunk and shared across all configurations, which is
-    what makes sweeping designs over the default 201x201 plane affordable.
+    The plane points are split into chunks sized so that all workers together
+    hold at most _PLANE_BYTES of temporaries, and the chunks run on one thread per
+    usable CPU. Element-to-point distances and the point phasors of each chunk
+    are computed once and shared across all configurations. A frequency list
+    f_p - d, f_p, f_p + d (any order) takes 2 complex exponentials per chunk
+    instead of 3; see `_plane_sums`. Gains do not depend on the chunk size, the
+    worker count or the BLAS build.
     """
     freqs = np.asarray(list(frequencies), dtype=float)
+    ks = 2 * np.pi * freqs / grid.c
     pos = element_positions(scene.layout)
-    el_y, el_z = pos[:, 1], pos[:, 2]
+    el_y = pos[:, 1]
+    dz2 = (plane.z - pos[:, 2]) ** 2
     r_bs = element_distances(scene, "bs")
     # per-(config, frequency) element weights: cascade BS side x reflection
-    weights = {}
-    for name, config in configs.items():
+    weights = np.empty((len(configs), freqs.size, r_bs.size), dtype=complex)
+    for w, config in zip(weights, configs.values()):
         anchor, tau = config.anchor_and_delays()
-        weights[name] = np.exp(1j * (anchor - 2 * np.pi * freqs[:, None] * (r_bs / grid.c + tau)))
+        w[:] = np.exp(1j * (anchor - 2 * np.pi * freqs[:, None] * (r_bs / grid.c + tau)))
 
     xs, ys = plane.x_coords(), plane.y_coords()
-    px = np.repeat(xs, plane.n_y)
+    px2 = np.repeat(xs, plane.n_y) ** 2
     py = np.tile(ys, plane.n_x)
-    n_pts = px.size
-    gains = {name: np.empty((freqs.size, n_pts)) for name in configs}
-    for start in range(0, n_pts, chunk):
-        sl = slice(start, min(start + chunk, n_pts))
-        r_p = np.sqrt(
-            px[sl, None] ** 2
-            + (py[sl, None] - el_y[None, :]) ** 2
-            + (plane.z - el_z[None, :]) ** 2
-        )
-        for i, f in enumerate(freqs):
-            phasors = 2j * np.pi * f / grid.c * r_p
-            np.exp(phasors, out=phasors)
-            for name in configs:
-                gains[name][i, sl] = np.abs(phasors @ weights[name][i]) / r_bs.size
+    n_pts = px2.size
+    triple = _symmetric_triple(freqs)
+    # distances (8 B) plus one complex table (16 B) per exponential held at once
+    point_bytes = r_bs.size * (8 + 16 * (1 if triple is None else 2))
+    workers = _worker_count()
+    size = max(1, _PLANE_BYTES // (workers * point_bytes))
+    chunks = [slice(s, min(s + size, n_pts)) for s in range(0, n_pts, size)]
+    sums = np.empty((len(configs), freqs.size, n_pts))
+
+    def chunk_sums(sl: slice) -> None:
+        r = np.subtract.outer(py[sl], el_y)
+        np.square(r, out=r)
+        np.add(px2[sl, None], r, out=r)
+        r += dz2
+        np.sqrt(r, out=r)
+        sums[:, :, sl] = _plane_sums(r, ks, weights, triple)
+
+    _run_threads(chunk_sums, chunks, min(workers, len(chunks)))
 
     out = {}
-    for name in configs:
-        g = np.minimum(gains[name].reshape(freqs.size, plane.n_x, plane.n_y), 1.0)
+    for name, s in zip(configs, sums):
+        g = np.minimum(s.reshape(freqs.size, plane.n_x, plane.n_y) / r_bs.size, 1.0)
         peaks = []
         for i, f in enumerate(freqs):
             ix, iy = np.unravel_index(int(np.argmax(g[i])), g[i].shape)
@@ -207,11 +325,9 @@ def beam_pattern(
     config: BeamformerConfig,
     frequencies: Sequence[float],
     plane: EvaluationPlane,
-    chunk: int = 512,
 ) -> BeamPattern:
     """Array gain over a plane: user-side distances replaced by plane points."""
-    configs = {"only": config}
-    return multi_beam_pattern(scene, grid, configs, frequencies, plane, chunk=chunk)["only"]
+    return multi_beam_pattern(scene, grid, {"only": config}, frequencies, plane)["only"]
 
 
 def cascade_gain_magnitudes(

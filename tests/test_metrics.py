@@ -290,3 +290,19 @@ class TestWidebandMemory:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+class TestBeamPatternMemory:
+    def test_plane_kernel_holds_one_byte_budget(self):
+        # 512-point chunks of N = 10^4 distances and phasors alone would take ~123 MB
+        scenario = parse_scenario("plane.points_x = 41\nplane.points_y = 41")
+        scene, grid = scenario.scene(), scenario.grid()
+        configs = {name: build_design(scenario, name) for name in DESIGN_NAMES}
+        freqs = [float(grid.frequencies[0]), grid.f_c, float(grid.frequencies[-1])]
+        tracemalloc.start()
+        try:
+            multi_beam_pattern(scene, grid, configs, freqs, scenario.plane())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
