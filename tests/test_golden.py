@@ -30,21 +30,21 @@ GOLDEN_DIGESTS = {
         "gain-profile": "d31fb16abb2a5d6bbdf8fbd6ac14a5c5825fa12d1b6978bc655d3a1a278177f7",
         "rate-sweep": "974cc150b6e8136617e1605e1dc1138e0575bf4a75ad12795f66cc017672202d",
         "export-config/narrowband": "a8524d65bd26d412269782f05b2956ab3bf5c0976724bf1b2e3e6a319c3828a1",
-        "beam-pattern/narrowband": "571bc9a01b07c0ea952cd73920f6c3bd890bd2c7f511e1d54097baf297e1c76d",
+        "beam-pattern/narrowband": "f0eeb5b4153f62b25f7e8195606f61c37edcc7b1ce89503046a5b4b24e665ee4",
         "export-config/dldd": "e4b961a4f1babacf952fdffde9bc7b4357f9789715a39f9fa285b2dd7baa2759",
-        "beam-pattern/dldd": "d78ecd9d930a70256245d77ecbb281ac59686ce846a39ac0adee718f49f47ca6",
+        "beam-pattern/dldd": "6a69bb0a8f33e5b2db1291b9e9f254d3566fd4b0f2f3d62db4afdd03548512be",
         "export-config/per-element": "02fe6f97794f5634bf2745b6f6bd45a33dfc18e45fc381f6ac8eb7ca20f66d89",
-        "beam-pattern/per-element": "cabe958039739b7493e5e284047a8c158de5a94ba516dd4394c304cdfd86a110",
+        "beam-pattern/per-element": "c5d74bd75d8de493330ad460e4477be02a14183a98067c47b00d13ba05c1abc0",
     },
     "mirrored-y.scn": {
         "gain-profile": "b2f49a937039015d89a504c05434a39ea1968a69dabb49c61f0e19ba97dff0d8",
         "rate-sweep": "8b21a676efe5b4de0e4ad8688853dcb70393e4df132a6185790fa5d141be6f96",
         "export-config/narrowband": "f34f804356024b2fb68cdb881aca15ba70b69fdc7c99d8d925528f9deb2bf062",
-        "beam-pattern/narrowband": "f642b4d539d7abe28cd848384914ed44fe7af15b1067af743626c2875a8c04c2",
+        "beam-pattern/narrowband": "2289216a2f10bf06381a2d1494f80d7f136c818b0ce5e64a9e0a7bda6cf4442b",
         "export-config/dldd": "b08c381a7af93a0587cf1a0c4792a93b74c3ced7a9c68282d02558b8a071acfe",
-        "beam-pattern/dldd": "ccc2bbde06e1525232ef26d2f6d1e2da53ec9c2de2e114460c053a170c8856e1",
+        "beam-pattern/dldd": "bb2b964de2c630da83a17b0c1474449bad11d6151e838686829912670e37999b",
         "export-config/per-element": "4fcc929199f6670e9be952a8d8e2bc277134ae6c1087eb4afc0e479059a616d6",
-        "beam-pattern/per-element": "69767be1a8108ae57eeaa1a90d9a7a8ddf95ab2c636e39dbba1a105eb8a5ddab",
+        "beam-pattern/per-element": "6d9aa41590cda805ef750f83e11d6eeb516a3820ebe3aff55cce45268b0d0522",
     },
 }
 
