@@ -184,19 +184,18 @@ def _plane_sums(
     D = exp(j delta) with delta = theta_lo - theta_p. The low frequency is E*D and
     the high one E*conj(D)*(1 + j eps), where eps = theta_hi - theta_p + delta is
     a few ulp of theta (1 + j eps is exp(j eps) to ~eps^2). Pure NumPy and no
-    BLAS, so it is safe on worker threads and each sum runs over the elements in
-    order.
+    BLAS, so it is safe on worker threads, and `einsum` adds each sum up in
+    element order.
     """
-    out = np.empty((weights.shape[0], ks.size, r.shape[0]))
+    sums = np.empty((weights.shape[0], ks.size, r.shape[0]), dtype=complex)
     phasor = np.zeros(r.shape, dtype=complex)
     if triple is None:
         for i, k in enumerate(ks):
             phasor.real = 0.0
             np.multiply(r, k, out=phasor.imag)
             np.exp(phasor, out=phasor)
-            for c, w in enumerate(weights):
-                out[c, i] = np.abs(np.einsum("pn,n->p", phasor, w[i]))
-        return out
+            sums[:, i] = np.einsum("pn,cn->cp", phasor, weights[:, i])
+        return np.abs(sums)
     lo, mid, hi = triple
     step = np.zeros_like(phasor)
     np.multiply(r, ks[mid], out=phasor.imag)  # theta_p
@@ -207,9 +206,8 @@ def _plane_sums(
     r += step.imag  # eps
     np.exp(phasor, out=phasor)
     np.exp(step, out=step)
-    for c, w in enumerate(weights):
-        out[c, mid] = np.abs(np.einsum("pn,n->p", phasor, w[mid]))
-        out[c, lo] = np.abs(np.einsum("pn,pn,n->p", phasor, step, w[lo]))
+    sums[:, mid] = np.einsum("pn,cn->cp", phasor, weights[:, mid])
+    sums[:, lo] = np.einsum("pn,pn,cn->cp", phasor, step, weights[:, lo])
     np.conjugate(step, out=step)
     step *= phasor
     # step *= 1 + j*eps, in place; phasor's real half is free scratch from here on
@@ -217,9 +215,8 @@ def _plane_sums(
     r *= step.real
     step.real -= phasor.real
     step.imag += r
-    for c, w in enumerate(weights):
-        out[c, hi] = np.abs(np.einsum("pn,n->p", step, w[hi]))
-    return out
+    sums[:, hi] = np.einsum("pn,cn->cp", step, weights[:, hi])
+    return np.abs(sums)
 
 
 def multi_beam_pattern(
