@@ -232,9 +232,9 @@ def multi_beam_pattern(
     hold at most _PLANE_BYTES of temporaries, and the chunks run on one thread per
     usable CPU. Element-to-point distances and the point phasors of each chunk
     are computed once and shared across all configurations. A frequency list
-    f_p - d, f_p, f_p + d (any order) takes 2 complex exponentials per chunk
-    instead of 3; see `_plane_sums`. Gains do not depend on the chunk size, the
-    worker count or the BLAS build.
+    f_p - d, f_p, f_p + d (any order, d < f_p / 2) takes 2 complex exponentials
+    per chunk instead of 3; see `_plane_sums`. Gains do not depend on the chunk
+    size, the worker count or the BLAS build.
     """
     freqs = np.asarray(list(frequencies), dtype=float)
     ks = 2 * np.pi * freqs / grid.c

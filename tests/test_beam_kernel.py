@@ -82,7 +82,11 @@ def symmetric(f_p, offset_hz, order):
 
 @st.composite
 def cases(draw):
-    """A scenario with up to 16x16 elements, a small plane and a frequency list."""
+    """A scenario with up to 16x16 elements, a small plane and a frequency list.
+
+    Symmetric lists reach up to 100 GHz either side of f_c: at 140 GHz that is
+    past f_c / 2, where the kernel takes the direct path instead.
+    """
     s = draw(st.integers(1, 4))
     k_y, k_z = draw(st.integers(1, 16 // s)), draw(st.integers(1, 16 // s))
     f_c = draw(st.sampled_from([140e9, 300e9]))

@@ -294,7 +294,7 @@ class TestWidebandMemory:
 
 class TestBeamPatternMemory:
     def test_plane_kernel_holds_one_byte_budget(self):
-        # 512-point chunks of N = 10^4 distances and phasors alone would take ~123 MB
+        # with the former fixed 512-point chunks this call peaked at 197 MiB (N = 10^4)
         scenario = parse_scenario("plane.points_x = 41\nplane.points_y = 41")
         scene, grid = scenario.scene(), scenario.grid()
         configs = {name: build_design(scenario, name) for name in DESIGN_NAMES}
