@@ -175,10 +175,13 @@ def _symmetric_triple(freqs: np.ndarray) -> tuple[int, int, int] | None:
 
 def _plane_sums(
     r: np.ndarray, ks: np.ndarray, weights: np.ndarray, triple: tuple[int, int, int] | None,
+    phasor: np.ndarray, step: np.ndarray | None,
 ) -> np.ndarray:
     """|sum over the elements of exp(j k_i r_pn) w_cin| for distances r of shape (P, N).
 
-    Returns shape (C, F, P) for weights of shape (C, F, N); r is overwritten.
+    Returns shape (C, F, P) for weights of shape (C, F, N). r is overwritten, and
+    so are the complex scratch tables phasor and step of r's shape (step is only
+    used, and may be None, without a symmetric triple).
     Every phase is rounded as fl(k_i r), whichever path runs. With a symmetric
     triple only two exponentials are taken: E = exp(j theta_p) at the centre and
     D = exp(j delta) with delta = theta_lo - theta_p. The low frequency is E*D and
@@ -188,7 +191,6 @@ def _plane_sums(
     element order.
     """
     sums = np.empty((weights.shape[0], ks.size, r.shape[0]), dtype=complex)
-    phasor = np.zeros(r.shape, dtype=complex)
     if triple is None:
         for i, k in enumerate(ks):
             phasor.real = 0.0
@@ -197,7 +199,8 @@ def _plane_sums(
             sums[:, i] = np.einsum("pn,cn->cp", phasor, weights[:, i])
         return np.abs(sums)
     lo, mid, hi = triple
-    step = np.zeros_like(phasor)
+    phasor.real = 0.0
+    step.real = 0.0
     np.multiply(r, ks[mid], out=phasor.imag)  # theta_p
     np.multiply(r, ks[lo], out=step.imag)
     step.imag -= phasor.imag  # delta
@@ -255,24 +258,41 @@ def multi_beam_pattern(
     triple = _symmetric_triple(freqs)
     # distances (8 B) plus one complex table (16 B) per exponential held at once
     point_bytes = r_bs.size * (8 + 16 * (1 if triple is None else 2))
-    workers = _worker_count()
+    workers = min(_worker_count(), n_pts)
     size = max(1, _PLANE_BYTES // (workers * point_bytes))
-    chunks = [slice(s, min(s + size, n_pts)) for s in range(0, n_pts, size)]
+    # Each worker takes one contiguous share of the points, chunk by chunk, in
+    # scratch tables allocated here on the calling thread. Workers allocate only
+    # small per-chunk sums, so the process peak does not depend on which thread
+    # runs when (per-thread allocator arenas kept tens of MB of freed tables).
+    bounds = [n_pts * w // workers for w in range(workers + 1)]
+    rows = min(size, -(-n_pts // workers))
+    scratch = [
+        (np.empty((rows, r_bs.size)), np.empty((rows, r_bs.size), dtype=complex),
+         None if triple is None else np.empty((rows, r_bs.size), dtype=complex))
+        for _ in range(workers)
+    ]
     sums = np.empty((len(configs), freqs.size, n_pts))
 
-    def chunk_sums(sl: slice) -> None:
-        r = np.subtract.outer(py[sl], el_y)
-        np.square(r, out=r)
-        np.add(px2[sl, None], r, out=r)
-        r += dz2
-        np.sqrt(r, out=r)
-        sums[:, :, sl] = _plane_sums(r, ks, weights, triple)
+    def share_sums(w: int) -> None:
+        r_buf, phasor, step = scratch[w]
+        for start in range(bounds[w], bounds[w + 1], size):
+            sl = slice(start, min(start + size, bounds[w + 1]))
+            n = sl.stop - sl.start
+            r = r_buf[:n]
+            np.subtract(py[sl, None], el_y, out=r)
+            np.square(r, out=r)
+            np.add(px2[sl, None], r, out=r)
+            r += dz2
+            np.sqrt(r, out=r)
+            sums[:, :, sl] = _plane_sums(
+                r, ks, weights, triple, phasor[:n], None if step is None else step[:n]
+            )
 
     # imported here: at module load it would add ~7 ms to every CLI start
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(min(workers, len(chunks))) as pool:
-        list(pool.map(chunk_sums, chunks))  # re-raises the first worker exception
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(share_sums, range(workers)))  # re-raises the first worker exception
 
     out = {}
     for name, s in zip(configs, sums):
