@@ -231,9 +231,9 @@ def multi_beam_pattern(
 ) -> dict[str, BeamPattern]:
     """Beam patterns for several configurations over one plane.
 
-    The plane points are split into chunks sized so that all workers together
-    hold at most _PLANE_BYTES of temporaries, and the chunks run on one thread per
-    usable CPU. Element-to-point distances and the point phasors of each chunk
+    The plane points are split into one contiguous share per usable CPU, each run
+    on its own thread in chunks sized so that all workers together hold at most
+    _PLANE_BYTES of temporaries. Element-to-point distances and the point phasors of each chunk
     are computed once and shared across all configurations. A frequency list
     f_p - d, f_p, f_p + d (any order, d < f_p / 2) takes 2 complex exponentials
     per chunk instead of 3; see `_plane_sums`. Gains do not depend on the chunk
