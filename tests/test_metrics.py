@@ -294,7 +294,8 @@ class TestWidebandMemory:
 
 class TestBeamPatternMemory:
     def test_plane_kernel_holds_one_byte_budget(self):
-        # with the former fixed 512-point chunks this call peaked at 197 MiB (N = 10^4)
+        # with the former fixed 512-point chunks this call peaked at 197 MiB (N = 10^4),
+        # with a 32 MiB budget at 34 MiB, and with the 8 MiB one at 9.6 MiB
         scenario = parse_scenario("plane.points_x = 41\nplane.points_y = 41")
         scene, grid = scenario.scene(), scenario.grid()
         configs = {name: build_design(scenario, name) for name in DESIGN_NAMES}
