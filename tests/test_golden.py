@@ -30,21 +30,21 @@ GOLDEN_DIGESTS = {
         "gain-profile": "d31fb16abb2a5d6bbdf8fbd6ac14a5c5825fa12d1b6978bc655d3a1a278177f7",
         "rate-sweep": "974cc150b6e8136617e1605e1dc1138e0575bf4a75ad12795f66cc017672202d",
         "export-config/narrowband": "a8524d65bd26d412269782f05b2956ab3bf5c0976724bf1b2e3e6a319c3828a1",
-        "beam-pattern/narrowband": "f0eeb5b4153f62b25f7e8195606f61c37edcc7b1ce89503046a5b4b24e665ee4",
+        "beam-pattern/narrowband": "e7e8b5522da507dc21b0b33adb9f897818ae9b1320543ea5c2ba1d01474b2792",
         "export-config/dldd": "e4b961a4f1babacf952fdffde9bc7b4357f9789715a39f9fa285b2dd7baa2759",
-        "beam-pattern/dldd": "6a69bb0a8f33e5b2db1291b9e9f254d3566fd4b0f2f3d62db4afdd03548512be",
+        "beam-pattern/dldd": "0c86f91e55d725614a6b1540c340b09b08f36632023af1fe6244975b97c0f778",
         "export-config/per-element": "02fe6f97794f5634bf2745b6f6bd45a33dfc18e45fc381f6ac8eb7ca20f66d89",
-        "beam-pattern/per-element": "c5d74bd75d8de493330ad460e4477be02a14183a98067c47b00d13ba05c1abc0",
+        "beam-pattern/per-element": "a86df87c2a04c4cccc8b4c7702559fc501d2b0a00b13df82f2e0f46baef0134c",
     },
     "mirrored-y.scn": {
         "gain-profile": "b2f49a937039015d89a504c05434a39ea1968a69dabb49c61f0e19ba97dff0d8",
         "rate-sweep": "8b21a676efe5b4de0e4ad8688853dcb70393e4df132a6185790fa5d141be6f96",
         "export-config/narrowband": "f34f804356024b2fb68cdb881aca15ba70b69fdc7c99d8d925528f9deb2bf062",
-        "beam-pattern/narrowband": "2289216a2f10bf06381a2d1494f80d7f136c818b0ce5e64a9e0a7bda6cf4442b",
+        "beam-pattern/narrowband": "878cc3dab334e1c8cc0814f08ea93c64747ff47b58c32b613a52391950f96b58",
         "export-config/dldd": "b08c381a7af93a0587cf1a0c4792a93b74c3ced7a9c68282d02558b8a071acfe",
-        "beam-pattern/dldd": "bb2b964de2c630da83a17b0c1474449bad11d6151e838686829912670e37999b",
+        "beam-pattern/dldd": "07f31364c02ac9e7aed580ed42ff0e81f146bd1ce9c7df51df2c140d7e76cca3",
         "export-config/per-element": "4fcc929199f6670e9be952a8d8e2bc277134ae6c1087eb4afc0e479059a616d6",
-        "beam-pattern/per-element": "6d9aa41590cda805ef750f83e11d6eeb516a3820ebe3aff55cce45268b0d0522",
+        "beam-pattern/per-element": "787002f81e282c743677b04525a87ad887ce61e740b7a0cbb004ec9c7fb2a11a",
     },
 }
 
