@@ -202,6 +202,12 @@ def _validate(values: dict) -> None:
         raise ScenarioError("sweep.t_req_ps must not be empty")
     if not scenario.values["rate.p_bs_dbm"]:
         raise ScenarioError("rate.p_bs_dbm must not be empty")
+    levels = [("rate.p_bs_dbm", p) for p in scenario.p_bs_dbm]
+    for key, dbm in levels + [("rate.noise_dbm_hz", values["rate.noise_dbm_hz"])]:
+        try:
+            dbm_to_watts(dbm)
+        except OverflowError:
+            raise ScenarioError(f"{key}: {dbm:g} dBm is too large to express in watts") from None
 
 
 def parse_scenario(text: str, source: str = "<string>") -> Scenario:

@@ -1,24 +1,37 @@
 """The block-factorized cascade kernel against the direct per-subcarrier formula.
 
 `metrics._cascade_sums` writes subcarrier i = b*B + k (B = ceil(sqrt(count)))
-and multiplies an exact exp at the block start by an exact exp at the offset
-k*df, reducing both tables with one matrix product. The direct formula below
-builds the full (N, F) phasor array instead and sums it over the elements; it
-is kept here as the reference.
+as c_n Z_n^b z_n^k, with c_n = w_n exp(j*(anchor_n - 2*pi*f0*delta_n)),
+z_n = exp(-2j*pi*df*delta_n) and Z_n = z_n^B, and reduces a row table of
+c_n Z_n^b and an offset table of z_n^k with one matrix product.
+`metrics._powers` builds each table by doubling: entry i is a product of
+popcount(i) exact exponentials at exact multiples 2^e * step, so no error
+builds up along a table. The direct formula below builds the full (N, F)
+phasor array instead and sums it over the elements; it is kept here as the
+reference.
 
 Every consumer takes |sum|, so the sums are compared by magnitude: normalized
 gains to an absolute DRIFT_TOL, weighted sums to DRIFT_TOL times the weight
 mass sum |w_n| (near a null a relative bound would measure the conditioning of
 the sum, which the direct formula shares, not the kernel). The largest drift
-measured over 2,000 scenes was 3.2e-13 for the normalized gains, 3.2e-13 of the
-weight mass for the weighted sums and 1.4e-13 for the edge gains: both formulas
-round a phase 2*pi*f*delta of up to ~4e4 rad, whose last bit is ~7e-12 rad.
+measured over 2,000 scenes, for three seeds, was 2.9e-13, 6.3e-13 and 2.6e-13
+for the normalized gains (6.3e-13 of the weight mass for the weighted sums)
+and 2.0e-13 for the edge gains; the kernel with exact exp at every block start
+and offset drifted by 2.8e-13, 6.5e-13 and 3.7e-13 on the same scenes. Both
+kernels and the reference round a phase 2*pi*f*delta of up to ~4e4 rad, whose
+last bit is ~7e-12 rad: the drift is the reference's rounding as much as the
+kernel's.
 """
 
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +41,7 @@ from irslab.experiments import DESIGN_NAMES, _edge_gains, build_design
 from irslab.geometry import FrequencyGrid
 from irslab.metrics import (
     _cascade_sums,
+    _powers,
     cascade_gain_magnitudes,
     gain_profile,
     normalized_array_gain,
@@ -35,6 +49,7 @@ from irslab.metrics import (
 from irslab.scenario import parse_scenario
 
 DRIFT_TOL = 1e-12
+ROOT = Path(__file__).resolve().parent.parent
 
 # primes, perfect squares, the edges of a block and the wideband workload's size
 COUNTS = (1, 2, 3, 4, 5, 7, 16, 17, 49, 97, 1009, 1024, 2025, 2039, 2047, 2048)
@@ -136,3 +151,44 @@ def test_edge_gains_match_direct_formula(case):
         want = direct_gains(config, r_bs, r_user, grid.c, edges).min()
         got = _edge_gains(config, grid, r_bs, r_user)
         assert abs(got - want) <= DRIFT_TOL
+
+
+# Every step, and every phase m*step, that the kernel passes to `_powers` is at most
+# 2*pi*(f_M - f_1)*|delta_n|: 1.8e3 rad on the bundled scenarios. The steps are float32
+# values, so i*step is exact in float64 and the reference rounds nothing but its exp.
+STEP_MAX = 1e4
+STEPS = np.concatenate([
+    [0.0, STEP_MAX, -STEP_MAX, 1e-9],
+    np.random.default_rng(5).uniform(-STEP_MAX, STEP_MAX, 1000),
+]).astype(np.float32).astype(float)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 32, 33, 46, 64, 65, 1024, 1025])
+def test_powers_match_exp_entry_by_entry(count):
+    got = _powers(STEPS, count)
+    assert got.shape == (count, STEPS.size)
+    assert np.array_equal(got[0], np.ones(STEPS.size))
+    for k in range((count - 1).bit_length()):
+        # a power of two is one exact exp, bit for bit
+        assert np.array_equal(got[2**k], np.exp(1j * (2**k * STEPS)))
+    want = np.exp(1j * (np.arange(count)[:, None] * STEPS))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("command", ["gain-profile", "rate-sweep"])
+def test_wideband_bytes_do_not_depend_on_blas_threads(tmp_path, command):
+    """The kernel's one matrix product goes through BLAS; its bytes hold at 1 and 2 threads."""
+    scn = tmp_path / "wide.scn"
+    scn.write_text("grid.subcarriers = 2048\n")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"{command}-{threads}.csv"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+        subprocess.run(
+            [sys.executable, "-m", "irslab.cli", command, "--scenario", str(scn),
+             "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

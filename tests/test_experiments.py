@@ -385,6 +385,17 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: lowest subcarrier")
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["rate.p_bs_dbm = 30,4000", "rate.noise_dbm_hz = 4000"])
+    def test_dbm_beyond_float_range_exits_nonzero(self, tmp_path, capsys, line):
+        # 10**((dbm - 30)/10) overflows a float above ~3112.5 dBm
+        bad = tmp_path / "loud.scn"
+        bad.write_text(SMALL.replace("rate.p_bs_dbm = 20,40", line))
+        out = tmp_path / "x.csv"
+        assert main(["rate-sweep", "--scenario", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {line.split()[0]}: 4000 dBm") and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["gain-profile", "export-config"])
     def test_unwritable_out_exits_nonzero(self, scenario_file, tmp_path, capsys, command):
         out = tmp_path / "missing" / "dir" / "x.csv"

@@ -277,7 +277,9 @@ class TestClampedGain:
 
 class TestWidebandMemory:
     def test_per_subcarrier_metrics_hold_no_element_by_subcarrier_array(self):
-        # one (N, F) complex phasor array at N = 10^4, F = 2048 would alone take 328 MB
+        # one (N, F) complex phasor array at N = 10^4, F = 2048 would alone take 328 MB;
+        # the block-factorized kernel peaked at 21.4 MiB here, and at 14.8 MiB with its
+        # tables built by doubling, which hold no table-sized phase array
         scenario = parse_scenario("grid.subcarriers = 2048")
         scene, grid = scenario.scene(), scenario.grid()
         configs = [build_design(scenario, name) for name in DESIGN_NAMES]
