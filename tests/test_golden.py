@@ -27,8 +27,8 @@ SWEEP_TOL = 1e-13
 
 GOLDEN_DIGESTS = {
     "default.scn": {
-        "gain-profile": "d31fb16abb2a5d6bbdf8fbd6ac14a5c5825fa12d1b6978bc655d3a1a278177f7",
-        "rate-sweep": "974cc150b6e8136617e1605e1dc1138e0575bf4a75ad12795f66cc017672202d",
+        "gain-profile": "1367aa081aaa1330ebc6f03e2fd3663e34598190e6fb3d6173c5ffe26c70a00f",
+        "rate-sweep": "4413e9d3c3bd2fd2ba785b47b0eccd5803b70eb16b94b23f92a6648ff4fa87a7",
         "export-config/narrowband": "a8524d65bd26d412269782f05b2956ab3bf5c0976724bf1b2e3e6a319c3828a1",
         "beam-pattern/narrowband": "e7e8b5522da507dc21b0b33adb9f897818ae9b1320543ea5c2ba1d01474b2792",
         "export-config/dldd": "e4b961a4f1babacf952fdffde9bc7b4357f9789715a39f9fa285b2dd7baa2759",
@@ -37,8 +37,8 @@ GOLDEN_DIGESTS = {
         "beam-pattern/per-element": "a86df87c2a04c4cccc8b4c7702559fc501d2b0a00b13df82f2e0f46baef0134c",
     },
     "mirrored-y.scn": {
-        "gain-profile": "b2f49a937039015d89a504c05434a39ea1968a69dabb49c61f0e19ba97dff0d8",
-        "rate-sweep": "8b21a676efe5b4de0e4ad8688853dcb70393e4df132a6185790fa5d141be6f96",
+        "gain-profile": "51ada761ae42094a48f9d3791b32eb395255afea6506be2bdbf7ea4ffe58cf51",
+        "rate-sweep": "6467d1c7e40441f1624a4e21f64b5019e8b2b77ae34227d7653265380d2a7cf2",
         "export-config/narrowband": "f34f804356024b2fb68cdb881aca15ba70b69fdc7c99d8d925528f9deb2bf062",
         "beam-pattern/narrowband": "878cc3dab334e1c8cc0814f08ea93c64747ff47b58c32b613a52391950f96b58",
         "export-config/dldd": "b08c381a7af93a0587cf1a0c4792a93b74c3ced7a9c68282d02558b8a071acfe",
