@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from irslab.scenario import (
     parse_scenario,
     scenario_keys,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestDefaults:
@@ -149,6 +152,20 @@ class TestDigest:
 
     def test_explicit_default_matches_implicit(self):
         assert parse_scenario("grid.f_c_ghz = 300\n").digest() == default_scenario().digest()
+
+    @pytest.mark.parametrize(
+        "path, digest",
+        [
+            (None, "ee1bae40691eb84a8ba46c9b76bf5a296453d0d1c204c7511eb7b848d8cb3020"),
+            (SCENARIOS / "default.scn",
+             "ee1bae40691eb84a8ba46c9b76bf5a296453d0d1c204c7511eb7b848d8cb3020"),
+            (SCENARIOS / "mirrored-y.scn",
+             "a8676edf466903434c12b410d359bba15552ca95e1fcebee5b14e8a1afa7ffdf"),
+        ],
+    )
+    def test_bundled_digests_pinned(self, path, digest):
+        # the `# scenario-hash:` header of every output; golden digests skip it
+        assert load_scenario(path).digest() == digest
 
 
 def test_all_documented_keys_parse_round_trip():
