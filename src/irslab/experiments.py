@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import IO, Optional, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .metrics import (
     gain_profile,
     rates_from_gain,
 )
-from .scenario import Scenario, ScenarioError, dbm_to_watts
+from .scenario import Scenario, ScenarioError
 
 DESIGN_NAMES = ("narrowband", "dldd", "per-element")
 
@@ -95,14 +95,12 @@ def _column_name(design: str) -> str:
 
 
 def build_design(scenario: Scenario, name: str) -> BeamformerConfig:
-    scene, grid = scenario.scene(), scenario.grid()
-    if name == "narrowband":
-        return narrowband_design(scene, grid)
-    if name == "dldd":
-        return dldd_design(scene, grid, scenario.partition())
-    if name == "per-element":
-        return per_element_td_design(scene, grid)
-    raise ScenarioError(f"unknown design {name!r}; expected one of {DESIGN_NAMES}")
+    # looked up per call, so a rebound module name (as perfbench's tracer does) is honored
+    designs = {"narrowband": narrowband_design, "dldd": dldd_design,
+               "per-element": per_element_td_design}
+    if name not in designs:
+        raise ScenarioError(f"unknown design {name!r}; expected one of {DESIGN_NAMES}")
+    return designs[name](scenario.scene, scenario.grid)
 
 
 def resolve_frequencies(scenario: Scenario, tokens: Sequence[str | float]) -> list[float]:
@@ -110,7 +108,7 @@ def resolve_frequencies(scenario: Scenario, tokens: Sequence[str | float]) -> li
 
     Tokens may come in any order, but no two may resolve to the same frequency.
     """
-    grid = scenario.grid()
+    grid = scenario.grid
     named = {"f1": grid.frequencies[0], "fc": grid.f_c, "fM": grid.frequencies[-1]}
     out: dict[float, str | float] = {}
     for tok in tokens:
@@ -134,7 +132,7 @@ def run_gain_profile(
     scenario: Scenario, designs: Sequence[str] = DESIGN_NAMES
 ) -> ResultTable:
     """Normalized array gain at each subcarrier for the selected designs."""
-    scene, grid = scenario.scene(), scenario.grid()
+    scene, grid = scenario.scene, scenario.grid
     profiles = {name: gain_profile(scene, grid, build_design(scenario, name)) for name in designs}
     freqs = grid.frequencies
     rows = tuple(
@@ -143,7 +141,7 @@ def run_gain_profile(
     )
     return ResultTable(
         experiment="gain-profile",
-        scenario_hash=scenario.digest(),
+        scenario_hash=scenario.digest,
         columns=("subcarrier_index", "frequency_ghz", *(f"gain_{_column_name(n)}" for n in designs)),
         rows=rows,
     )
@@ -155,10 +153,9 @@ def run_beam_pattern(
     frequencies: Sequence[str | float] = FREQUENCY_TOKENS,
 ) -> ResultTable:
     """Gain over the scenario's evaluation plane, long format, peaks appended."""
-    scene, grid = scenario.scene(), scenario.grid()
     config = build_design(scenario, design)
     freqs = resolve_frequencies(scenario, frequencies)
-    pattern = beam_pattern(scene, grid, config, freqs, scenario.plane())
+    pattern = beam_pattern(scenario.scene, scenario.grid, config, freqs, scenario.plane)
     xs, ys = pattern.plane.x_coords(), pattern.plane.y_coords()
     rows = tuple(
         (f / 1e9, x, y, float(g))
@@ -173,7 +170,7 @@ def run_beam_pattern(
     )
     return ResultTable(
         experiment="beam-pattern",
-        scenario_hash=scenario.digest(),
+        scenario_hash=scenario.digest,
         columns=("frequency_ghz", "x_m", "y_m", "gain"),
         rows=rows,
         comments=comments,
@@ -189,77 +186,56 @@ def _edge_gains(
     return min(float(np.abs(sums).min()) / r_bs.size, 1.0)
 
 
-def run_td_count_sweep(
-    scenario: Scenario, partitions: Optional[Sequence[int]] = None
-) -> ResultTable:
+def run_td_count_sweep(scenario: Scenario) -> ResultTable:
     """Edge-subcarrier gain of the DLDD design versus the delta-delay module count."""
-    scene, grid = scenario.scene(), scenario.grid()
+    scene, grid = scenario.scene, scenario.grid
     r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
-    sizes = tuple(partitions) if partitions is not None else scenario.partition_sizes
     rows = []
-    for k in sizes:
+    for k in scenario.partition_sizes:
         part = SubsurfacePartition.for_layout(scene.layout, k, k)
         config = dldd_design(scene, grid, part)
         rows.append((td_module_count(part), _edge_gains(config, grid, r_bs, r_user)))
     return ResultTable(
         experiment="td-count-sweep",
-        scenario_hash=scenario.digest(),
+        scenario_hash=scenario.digest,
         columns=("k_t", "edge_gain"),
         rows=tuple(rows),
     )
 
 
-def run_delay_range_sweep(
-    scenario: Scenario, t_req_s: Optional[Sequence[float]] = None
-) -> ResultTable:
+def run_delay_range_sweep(scenario: Scenario) -> ResultTable:
     """Edge gain of DLDD and the per-element benchmark under a module-delay cap."""
-    values = tuple(t_req_s) if t_req_s is not None else scenario.t_req_seconds
-    if any(t < 0 for t in values):
-        raise ScenarioError("t_req values must be >= 0")
-    scene, grid = scenario.scene(), scenario.grid()
+    scene, grid = scenario.scene, scenario.grid
     r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
     designs = (build_design(scenario, "dldd"), build_design(scenario, "per-element"))
     rows = tuple(
         (t * 1e12, *(_edge_gains(replace(d, delay_cap=t), grid, r_bs, r_user) for d in designs))
-        for t in values
+        for t in scenario.t_req_seconds
     )
     return ResultTable(
         experiment="delay-range-sweep",
-        scenario_hash=scenario.digest(),
+        scenario_hash=scenario.digest,
         columns=("t_req_ps", "edge_gain_dldd", "edge_gain_per_element"),
         rows=rows,
     )
 
 
-def run_rate_sweep(
-    scenario: Scenario,
-    p_bs_dbm: Optional[Sequence[float]] = None,
-    designs: Sequence[str] = DESIGN_NAMES,
-) -> ResultTable:
+def run_rate_sweep(scenario: Scenario, designs: Sequence[str] = DESIGN_NAMES) -> ResultTable:
     """Mean achievable rate per design versus BS transmit power."""
-    scene, grid = scenario.scene(), scenario.grid()
-    powers = tuple(p_bs_dbm) if p_bs_dbm is not None else scenario.p_bs_dbm
-    noise = scenario.noise_density
+    scene, grid, noise = scenario.scene, scenario.grid, scenario.noise_density
     gains = {
         name: cascade_gain_magnitudes(scene, grid, build_design(scenario, name))
         for name in designs
     }
-    rows = []
-    for p_dbm in powers:
-        watts = dbm_to_watts(p_dbm)
-        if watts <= 0:
-            raise ScenarioError("transmit power must be positive")
-        rows.append(
-            (
-                p_dbm,
-                *(float(rates_from_gain(gains[n], grid, watts, noise).mean()) for n in designs),
-            )
-        )
+    rows = tuple(
+        (p_dbm, *(float(rates_from_gain(gains[n], grid, watts, noise).mean()) for n in designs))
+        for p_dbm, watts in zip(scenario.p_bs_dbm, scenario.p_bs_watts)
+    )
     return ResultTable(
         experiment="rate-sweep",
-        scenario_hash=scenario.digest(),
+        scenario_hash=scenario.digest,
         columns=("p_bs_dbm", *(f"rate_{_column_name(n)}" for n in designs)),
-        rows=tuple(rows),
+        rows=rows,
     )
 
 
@@ -267,6 +243,6 @@ def export_config(scenario: Scenario, design: str) -> dict:
     """Hardware-table export: the beamformer configuration as a JSON-ready dict."""
     config = build_design(scenario, design)
     out = config.as_dict()
-    out["scenario_hash"] = scenario.digest()
+    out["scenario_hash"] = scenario.digest
     out["version"] = __version__
     return out

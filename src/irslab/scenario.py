@@ -94,120 +94,90 @@ def dbm_to_watts(dbm: float) -> float:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully resolved experiment description (SI units internally)."""
+    """A scenario resolved once by `parse_scenario`.
+
+    `values` holds the file values (file units) and `digest` their stable hash
+    (sorted key=repr lines); every other field is built from them in SI units.
+    """
 
     values: dict
-
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-    # --- resolved domain objects ---
-
-    @property
-    def f_c(self) -> float:
-        return self.values["grid.f_c_ghz"] * 1e9
-
-    @property
-    def spacing(self) -> float:
-        d = self.values["irs.d_m"]
-        if d == HALF_WAVELENGTH:
-            return SPEED_OF_LIGHT / self.f_c / 2.0
-        return d
-
-    def layout(self) -> IrsLayout:
-        return IrsLayout(self.values["irs.n_y"], self.values["irs.n_z"], self.spacing)
-
-    def partition(self) -> SubsurfacePartition:
-        return SubsurfacePartition.for_layout(
-            self.layout(), self.values["partition.k_y"], self.values["partition.k_z"]
-        )
-
-    def scene(self) -> Scene:
-        return Scene(
-            bs=Point3(self.values["bs.x_m"], self.values["bs.y_m"], self.values["bs.z_m"]),
-            user=Point3(
-                self.values["user.x_m"], self.values["user.y_m"], self.values["user.z_m"]
-            ),
-            layout=self.layout(),
-            partition=self.partition(),
-        )
-
-    def grid(self) -> FrequencyGrid:
-        return FrequencyGrid(
-            f_c=self.f_c,
-            bandwidth=self.values["grid.bandwidth_ghz"] * 1e9,
-            m_count=self.values["grid.subcarriers"],
-        )
-
-    def plane(self) -> EvaluationPlane:
-        return EvaluationPlane(
-            x_min=self.values["plane.x_min_m"],
-            x_max=self.values["plane.x_max_m"],
-            y_min=self.values["plane.y_min_m"],
-            y_max=self.values["plane.y_max_m"],
-            z=self.values["user.z_m"],
-            n_x=self.values["plane.points_x"],
-            n_y=self.values["plane.points_y"],
-        )
-
-    @property
-    def t_req_seconds(self) -> tuple[float, ...]:
-        return tuple(t * 1e-12 for t in self.values["sweep.t_req_ps"])
-
-    @property
-    def partition_sizes(self) -> tuple[int, ...]:
-        return self.values["sweep.partition_sizes"]
-
-    @property
-    def p_bs_dbm(self) -> tuple[float, ...]:
-        return self.values["rate.p_bs_dbm"]
-
-    @property
-    def noise_density(self) -> float:
-        return dbm_to_watts(self.values["rate.noise_dbm_hz"])
-
-    # --- identity ---
-
-    def digest(self) -> str:
-        """Stable hash of the resolved scenario values (sorted key=repr lines)."""
-        lines = []
-        for key, value in sorted(self.values.items()):
-            rendered = ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
-            lines.append(f"{key}={rendered}")
-        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    scene: Scene
+    grid: FrequencyGrid
+    plane: EvaluationPlane
+    partition_sizes: tuple[int, ...]
+    t_req_seconds: tuple[float, ...]
+    p_bs_dbm: tuple[float, ...]
+    p_bs_watts: tuple[float, ...]
+    noise_density: float
+    digest: str
 
 
-def _validate(values: dict) -> None:
-    scenario = Scenario(values)
+def _watts(key: str, dbm: float) -> float:
     try:
-        layout = scenario.layout()
-        scenario.partition()
-        grid = scenario.grid()
-        scenario.plane()
+        watts = dbm_to_watts(dbm)
+    except OverflowError:
+        raise ScenarioError(f"{key}: {dbm:g} dBm is too large to express in watts") from None
+    if watts == 0.0:
+        raise ScenarioError(f"{key}: {dbm:g} dBm is too small to express in watts (0 W)")
+    return watts
+
+
+def _digest(values: dict) -> str:
+    lines = []
+    for key, value in sorted(values.items()):
+        rendered = ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+        lines.append(f"{key}={rendered}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _resolve(values: dict) -> Scenario:
+    """Build and validate every domain object of `values` once."""
+    v = values
+    f_c = v["grid.f_c_ghz"] * 1e9
+    d = SPEED_OF_LIGHT / f_c / 2.0 if v["irs.d_m"] == HALF_WAVELENGTH else v["irs.d_m"]
+    try:
+        layout = IrsLayout(v["irs.n_y"], v["irs.n_z"], d)
+        partition = SubsurfacePartition.for_layout(layout, v["partition.k_y"], v["partition.k_z"])
+        scene = Scene(Point3(v["bs.x_m"], v["bs.y_m"], v["bs.z_m"]),
+                      Point3(v["user.x_m"], v["user.y_m"], v["user.z_m"]), layout, partition)
+        grid = FrequencyGrid(f_c=f_c, bandwidth=v["grid.bandwidth_ghz"] * 1e9,
+                             m_count=v["grid.subcarriers"])
+        plane = EvaluationPlane(
+            x_min=v["plane.x_min_m"], x_max=v["plane.x_max_m"],
+            y_min=v["plane.y_min_m"], y_max=v["plane.y_max_m"],
+            z=v["user.z_m"], n_x=v["plane.points_x"], n_y=v["plane.points_y"],
+        )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
     if grid.m_count < 2:
         raise ScenarioError("grid.subcarriers must be >= 2 (edge gains need both edges)")
-    if not scenario.partition_sizes:
+    sizes = v["sweep.partition_sizes"]
+    if not sizes:
         raise ScenarioError("sweep.partition_sizes must not be empty")
-    for k in scenario.partition_sizes:
+    for k in sizes:
         if k < 1 or layout.n_y % k != 0 or layout.n_z % k != 0:
             raise ScenarioError(
                 f"sweep.partition_sizes entry {k} does not divide the "
                 f"{layout.n_y}x{layout.n_z} layout"
             )
-    if any(t < 0 for t in scenario.values["sweep.t_req_ps"]):
+    if any(t < 0 for t in v["sweep.t_req_ps"]):
         raise ScenarioError("sweep.t_req_ps entries must be >= 0")
-    if not scenario.values["sweep.t_req_ps"]:
+    if not v["sweep.t_req_ps"]:
         raise ScenarioError("sweep.t_req_ps must not be empty")
-    if not scenario.values["rate.p_bs_dbm"]:
+    if not v["rate.p_bs_dbm"]:
         raise ScenarioError("rate.p_bs_dbm must not be empty")
-    levels = [("rate.p_bs_dbm", p) for p in scenario.p_bs_dbm]
-    for key, dbm in levels + [("rate.noise_dbm_hz", values["rate.noise_dbm_hz"])]:
-        try:
-            dbm_to_watts(dbm)
-        except OverflowError:
-            raise ScenarioError(f"{key}: {dbm:g} dBm is too large to express in watts") from None
+    return Scenario(
+        values=values,
+        scene=scene,
+        grid=grid,
+        plane=plane,
+        partition_sizes=sizes,
+        t_req_seconds=tuple(t * 1e-12 for t in v["sweep.t_req_ps"]),
+        p_bs_dbm=v["rate.p_bs_dbm"],
+        p_bs_watts=tuple(_watts("rate.p_bs_dbm", p) for p in v["rate.p_bs_dbm"]),
+        noise_density=_watts("rate.noise_dbm_hz", v["rate.noise_dbm_hz"]),
+        digest=_digest(values),
+    )
 
 
 def parse_scenario(text: str, source: str = "<string>") -> Scenario:
@@ -221,8 +191,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         if "=" not in line:
             raise ScenarioError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if key not in _KEYS:
             raise ScenarioError(f"{source}:{lineno}: unknown key {key!r}")
         if key in seen:
@@ -233,8 +202,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             values[key] = parser(value)
         except ScenarioError as exc:
             raise ScenarioError(f"{source}:{lineno}: {key}: {exc}") from None
-    _validate(values)
-    return Scenario(values)
+    return _resolve(values)
 
 
 def load_scenario(path: str | Path | None = None) -> Scenario:

@@ -53,7 +53,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def env():
     scenario = default_scenario()
-    scene, grid = scenario.scene(), scenario.grid()
+    scene, grid = scenario.scene, scenario.grid
     designs = {
         "narrowband": narrowband_design(scene, grid),
         "dldd": dldd_design(scene, grid),
@@ -90,7 +90,7 @@ def test_criterion_03_dldd_performance(env):
 
 def test_criterion_04_hardware_accounting(env):
     scenario, _, _, _, _ = env
-    layout = scenario.layout()
+    layout = scenario.scene.layout
     base = td_module_count(SubsurfacePartition.for_layout(layout, 10, 10))
     divisors = [k for k in range(1, 101) if 100 % k == 0]
     all_match = all(
@@ -170,7 +170,7 @@ def test_criterion_07_rate_ratios(env):
 
 def test_criterion_08_beam_pattern_peaks(env):
     scenario, scene, grid, designs, _ = env
-    plane = scenario.plane()
+    plane = scenario.plane
     freqs = [float(grid.frequencies[0]), grid.f_c, float(grid.frequencies[-1])]
     patterns = multi_beam_pattern(
         scene, grid, {k: designs[k] for k in ("narrowband", "dldd")}, freqs, plane
@@ -223,7 +223,7 @@ def _random_endpoint_pair(rng: np.random.Generator) -> tuple[np.ndarray, np.ndar
 
 def test_criterion_09_sign_consistency_suite(env):
     scenario, scene, grid, _, _ = env
-    layout, partition = scenario.layout(), scenario.partition()
+    layout, partition = scenario.scene.layout, scenario.scene.partition
 
     default_report = sign_consistency_check(cascaded_decomposition(scene, partition), grid.c)
 
@@ -249,7 +249,7 @@ def test_criterion_09_sign_consistency_suite(env):
 
 def test_criterion_10_model_fidelity(env):
     scenario, scene, _, _, _ = env
-    center_grid = FrequencyGrid(f_c=scenario.f_c, bandwidth=30e9, m_count=1)
+    center_grid = FrequencyGrid(f_c=scenario.grid.f_c, bandwidth=30e9, m_count=1)
 
     def worst_error(k: int) -> float:
         part = SubsurfacePartition.for_layout(scene.layout, k, k)

@@ -135,7 +135,7 @@ def cases(draw):
 def test_kernel_matches_per_frequency_formula(case):
     text, plane, freqs = case
     scenario = parse_scenario(text)
-    scene, grid = scenario.scene(), scenario.grid()
+    scene, grid = scenario.scene, scenario.grid
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SignConsistencyWarning)
         configs = {name: build_design(scenario, name) for name in DESIGN_NAMES}

@@ -97,7 +97,7 @@ def cases(draw):
 def scene_designs(text, count, cap):
     """Scene, a `count`-subcarrier grid, both element distances and the three designs."""
     scenario = parse_scenario(text)
-    scene, grid = scenario.scene(), scenario.grid()
+    scene, grid = scenario.scene, scenario.grid
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SignConsistencyWarning)
         configs = [replace(build_design(scenario, name), delay_cap=cap) for name in DESIGN_NAMES]

@@ -1,5 +1,7 @@
 import io
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from irslab.experiments import (
     run_rate_sweep,
     run_td_count_sweep,
 )
+from irslab.geometry import PanelPlaneWarning
 from irslab.scenario import ScenarioError, parse_scenario
 
 SMALL = """
@@ -110,7 +113,7 @@ class TestBeamPatternRunner:
     def test_explicit_frequency_tokens(self, small_scenario):
         table = run_beam_pattern(small_scenario, design="narrowband", frequencies=["fc"])
         assert len(table.rows) == 11 * 11
-        grid = small_scenario.grid()
+        grid = small_scenario.grid
         assert table.rows[0][0] == pytest.approx(grid.f_c / 1e9)
 
     def test_bad_token(self, small_scenario):
@@ -125,7 +128,7 @@ class TestBeamPatternRunner:
             run_beam_pattern(small_scenario, frequencies=tokens)
 
     def test_token_order_is_free(self, small_scenario):
-        grid = small_scenario.grid()
+        grid = small_scenario.grid
         up = run_beam_pattern(small_scenario, frequencies=["f1", "fc", "fM"])
         down = run_beam_pattern(small_scenario, frequencies=["fM", "fc", "f1"])
         block = 11 * 11
@@ -149,10 +152,6 @@ class TestTdCountSweep:
         assert gains[-1] > gains[0]
         assert np.all((gains >= 0) & (gains <= 1 + 1e-9))
 
-    def test_indivisible_partition_rejected(self, small_scenario):
-        with pytest.raises(ValueError, match="divisible"):
-            run_td_count_sweep(small_scenario, partitions=[3])
-
 
 class TestDelayRangeSweep:
     def test_zero_cap_equals_narrowband_edge(self, small_scenario):
@@ -166,15 +165,13 @@ class TestDelayRangeSweep:
 
     def test_large_cap_releases_clamp(self, small_scenario):
         # per-element delays here are ~6 ns, so 100 ns releases everything
-        table = run_delay_range_sweep(small_scenario, t_req_s=(0.0, 1e-7))
+        table = run_delay_range_sweep(
+            parse_scenario(SMALL.replace("sweep.t_req_ps = 0,2,5", "sweep.t_req_ps = 0,100000"))
+        )
         profile = run_gain_profile(small_scenario, designs=("dldd", "per-element"))
         dldd_edge = min(profile.column("gain_dldd")[0], profile.column("gain_dldd")[-1])
         assert table.rows[-1][1] == pytest.approx(dldd_edge, abs=1e-12)
         assert table.rows[-1][2] == pytest.approx(1.0, abs=1e-9)
-
-    def test_negative_cap_rejected(self, small_scenario):
-        with pytest.raises(ScenarioError):
-            run_delay_range_sweep(small_scenario, t_req_s=(-1e-12,))
 
 
 class TestSweepDistances:
@@ -395,6 +392,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {line.split()[0]}: 4000 dBm") and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gain-profile", "rate-sweep"])
+    @pytest.mark.parametrize("line", ["rate.p_bs_dbm = 30,-4000", "rate.noise_dbm_hz = -4000"])
+    def test_dbm_rounding_to_zero_watts_exits_nonzero(self, tmp_path, capsys, line, command):
+        # 10**((dbm - 30)/10) rounds to 0.0 below ~-3206 dBm
+        bad = tmp_path / "quiet.scn"
+        bad.write_text(SMALL.replace("rate.p_bs_dbm = 20,40", line))
+        out = tmp_path / "x.csv"
+        assert main([command, "--scenario", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {line.split()[0]}: -4000 dBm") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gain-profile", "rate-sweep", "delay-range-sweep"])
+    def test_scenario_resolved_once_per_run(self, tmp_path, command):
+        # default.scn puts the BS at x = 0, which warns each time its scene is built
+        scn = Path(__file__).resolve().parent.parent / "scenarios" / "default.scn"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--scenario", str(scn), "--out", str(tmp_path / "x.csv")]) == 0
+        assert [w.category for w in caught].count(PanelPlaneWarning) == 1
 
     @pytest.mark.parametrize("command", ["gain-profile", "export-config"])
     def test_unwritable_out_exits_nonzero(self, scenario_file, tmp_path, capsys, command):

@@ -281,7 +281,7 @@ class TestWidebandMemory:
         # the block-factorized kernel peaked at 21.4 MiB here, and at 14.8 MiB with its
         # tables built by doubling, which hold no table-sized phase array
         scenario = parse_scenario("grid.subcarriers = 2048")
-        scene, grid = scenario.scene(), scenario.grid()
+        scene, grid = scenario.scene, scenario.grid
         configs = [build_design(scenario, name) for name in DESIGN_NAMES]
         tracemalloc.start()
         try:
@@ -299,12 +299,12 @@ class TestBeamPatternMemory:
         # with the former fixed 512-point chunks this call peaked at 197 MiB (N = 10^4),
         # with a 32 MiB budget at 34 MiB, and with the 8 MiB one at 9.6 MiB
         scenario = parse_scenario("plane.points_x = 41\nplane.points_y = 41")
-        scene, grid = scenario.scene(), scenario.grid()
+        scene, grid = scenario.scene, scenario.grid
         configs = {name: build_design(scenario, name) for name in DESIGN_NAMES}
         freqs = [float(grid.frequencies[0]), grid.f_c, float(grid.frequencies[-1])]
         tracemalloc.start()
         try:
-            multi_beam_pattern(scene, grid, configs, freqs, scenario.plane())
+            multi_beam_pattern(scene, grid, configs, freqs, scenario.plane)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -147,7 +147,7 @@ def designs(scenario):
 @given(text=scenario_texts())
 def test_normalized_gain_and_profile_match_oracle(text):
     scenario = parse_scenario(text)
-    scene, grid = scenario.scene(), scenario.grid()
+    scene, grid = scenario.scene, scenario.grid
     for config in designs(scenario).values():
         want = [oracle_gain(scene, grid, config, float(f)) for f in grid.frequencies]
         got = gain_profile(scene, grid, config).gains
@@ -162,7 +162,7 @@ def test_normalized_gain_and_profile_match_oracle(text):
 @given(text=scenario_texts())
 def test_cascade_gain_magnitudes_match_oracle(text):
     scenario = parse_scenario(text)
-    scene, grid = scenario.scene(), scenario.grid()
+    scene, grid = scenario.scene, scenario.grid
     for config in designs(scenario).values():
         want = [
             (grid.c / (4 * math.pi * f)) ** 2
@@ -177,7 +177,7 @@ def test_cascade_gain_magnitudes_match_oracle(text):
 @given(text=scenario_texts())
 def test_beam_pattern_at_user_matches_oracle(text):
     scenario = parse_scenario(text)
-    scene, grid = scenario.scene(), scenario.grid()
+    scene, grid = scenario.scene, scenario.grid
     user = scene.user
     plane = EvaluationPlane(user.x, user.x, user.y, user.y, user.z, 1, 1)
     freqs = [float(f) for f in (grid.frequencies[0], grid.f_c, grid.frequencies[-1])]
@@ -191,7 +191,7 @@ def test_beam_pattern_at_user_matches_oracle(text):
 @given(text=scenario_texts())
 def test_capped_edge_gains_match_oracle(text):
     scenario = parse_scenario(text)
-    scene, grid = scenario.scene(), scenario.grid()
+    scene, grid = scenario.scene, scenario.grid
     built = designs(scenario)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SignConsistencyWarning)
@@ -206,7 +206,7 @@ def test_capped_edge_gains_match_oracle(text):
 @given(text=scenario_texts(square_panel=True))
 def test_td_count_sweep_matches_oracle(text):
     scenario = parse_scenario(text)
-    scene, grid = scenario.scene(), scenario.grid()
+    scene, grid = scenario.scene, scenario.grid
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SignConsistencyWarning)
         table = run_td_count_sweep(scenario)

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -13,20 +14,22 @@ from irslab.scenario import (
     scenario_keys,
 )
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 class TestDefaults:
     def test_empty_text_gives_default_scenario(self):
         sc = parse_scenario("")
-        assert sc["irs.n_y"] == 100
-        assert sc["irs.n_z"] == 100
-        assert sc["partition.k_y"] == 10
-        assert sc["grid.f_c_ghz"] == 300.0
-        assert sc["grid.bandwidth_ghz"] == 30.0
-        assert sc["grid.subcarriers"] == 128
-        assert sc["bs.x_m"] == 0.0 and sc["bs.y_m"] == 1.5 and sc["bs.z_m"] == -1.5
-        assert sc["user.x_m"] == 2.0 and sc["user.y_m"] == -4.0 and sc["user.z_m"] == -2.0
+        assert sc.values["irs.n_y"] == 100
+        assert sc.values["irs.n_z"] == 100
+        assert sc.values["partition.k_y"] == 10
+        assert sc.values["grid.f_c_ghz"] == 300.0
+        assert sc.values["grid.bandwidth_ghz"] == 30.0
+        assert sc.values["grid.subcarriers"] == 128
+        v = sc.values
+        assert v["bs.x_m"] == 0.0 and v["bs.y_m"] == 1.5 and v["bs.z_m"] == -1.5
+        assert v["user.x_m"] == 2.0 and v["user.y_m"] == -4.0 and v["user.z_m"] == -2.0
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.scn"
@@ -37,22 +40,22 @@ class TestDefaults:
     def test_missing_spacing_defaults_to_half_wavelength(self):
         sc = parse_scenario("")
         expected = SPEED_OF_LIGHT / 300e9 / 2
-        assert sc.spacing == pytest.approx(expected, rel=1e-15)
-        assert sc.spacing == pytest.approx(0.49965e-3, abs=1e-8)
+        assert sc.scene.layout.d == pytest.approx(expected, rel=1e-15)
+        assert sc.scene.layout.d == pytest.approx(0.49965e-3, abs=1e-8)
 
     def test_half_wavelength_follows_center_frequency(self):
         sc = parse_scenario("grid.f_c_ghz = 150\n")
-        assert sc.spacing == pytest.approx(SPEED_OF_LIGHT / 150e9 / 2, rel=1e-15)
+        assert sc.scene.layout.d == pytest.approx(SPEED_OF_LIGHT / 150e9 / 2, rel=1e-15)
 
     def test_explicit_spacing_honored(self):
         sc = parse_scenario("irs.d_m = 0.0005\n")
-        assert sc.spacing == 0.0005
+        assert sc.scene.layout.d == 0.0005
 
     def test_comments_and_blank_lines(self):
         text = "# a comment\n\ngrid.subcarriers = 64\nrate.noise_dbm_hz = -170  # trailing comment\n"
         sc = parse_scenario(text)
-        assert sc["grid.subcarriers"] == 64
-        assert sc["rate.noise_dbm_hz"] == -170.0
+        assert sc.values["grid.subcarriers"] == 64
+        assert sc.values["rate.noise_dbm_hz"] == -170.0
 
 
 class TestValidation:
@@ -111,26 +114,40 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="finite"):
             parse_scenario(line + "\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("rate.p_bs_dbm = 30,4000", "rate.p_bs_dbm: 4000 dBm is too large"),
+            ("rate.noise_dbm_hz = 4000", "rate.noise_dbm_hz: 4000 dBm is too large"),
+            ("rate.p_bs_dbm = 30,-4000", "rate.p_bs_dbm: -4000 dBm is too small"),
+            ("rate.noise_dbm_hz = -4000", "rate.noise_dbm_hz: -4000 dBm is too small"),
+        ],
+    )
+    def test_dbm_outside_float_watts_rejected(self, line, message):
+        # a float holds 10**((dbm - 30)/10) W only between about -3206 and 3112 dBm
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(line + "\n")
+
 
 class TestResolvedObjects:
     def test_scene_and_grid(self):
         sc = default_scenario()
-        scene = sc.scene()
+        scene = sc.scene
         assert scene.layout.n_elements == 10000
         assert scene.partition.s == 10
-        grid = sc.grid()
+        grid = sc.grid
         assert grid.f_c == 300e9
         assert grid.m_count == 128
 
     def test_plane_sits_at_user_height(self):
         sc = parse_scenario("user.z_m = -1.25\n")
-        assert sc.plane().z == -1.25
+        assert sc.plane.z == -1.25
 
     def test_unit_conversions(self):
         sc = parse_scenario(
             "grid.f_c_ghz = 100\nsweep.t_req_ps = 5,10\nrate.noise_dbm_hz = -170\n"
         )
-        assert sc.f_c == 100e9
+        assert sc.grid.f_c == 100e9
         assert sc.t_req_seconds == (5e-12, 10e-12)
         assert sc.noise_density == pytest.approx(10 ** ((-170 - 30) / 10))
 
@@ -143,15 +160,15 @@ class TestDigest:
     def test_stable_for_identical_input(self):
         a = parse_scenario("user.y_m = -3.5\ngrid.subcarriers = 32\n")
         b = parse_scenario("user.y_m = -3.5\ngrid.subcarriers = 32\n")
-        assert a.digest() == b.digest()
+        assert a.digest == b.digest
 
     def test_changes_on_mutation(self):
         a = default_scenario()
         b = parse_scenario("user.y_m = -3.9\n")
-        assert a.digest() != b.digest()
+        assert a.digest != b.digest
 
     def test_explicit_default_matches_implicit(self):
-        assert parse_scenario("grid.f_c_ghz = 300\n").digest() == default_scenario().digest()
+        assert parse_scenario("grid.f_c_ghz = 300\n").digest == default_scenario().digest
 
     @pytest.mark.parametrize(
         "path, digest",
@@ -165,24 +182,35 @@ class TestDigest:
     )
     def test_bundled_digests_pinned(self, path, digest):
         # the `# scenario-hash:` header of every output; golden digests skip it
-        assert load_scenario(path).digest() == digest
+        assert load_scenario(path).digest == digest
 
 
 def test_all_documented_keys_parse_round_trip():
     # every key accepts its own default when rendered back as text
     sc = default_scenario()
     for key in scenario_keys():
-        value = sc[key]
+        value = sc.values[key]
         if isinstance(value, tuple):
             rendered = ",".join(str(v) for v in value)
         else:
             rendered = str(value)
         again = parse_scenario(f"{key} = {rendered}\n")
-        assert again[key] == value
+        assert again.values[key] == value
 
 
 def test_scenario_is_mapping_like():
     sc = default_scenario()
     assert isinstance(sc, Scenario)
-    assert sc["rate.noise_dbm_hz"] == -174.0
+    assert sc.values["rate.noise_dbm_hz"] == -174.0
     assert math.isclose(sc.noise_density, 3.981071705534969e-21, rel_tol=1e-12)
+
+
+def test_formats_doc_key_table_names_every_key():
+    text = (ROOT / "docs" / "formats.md").read_text()
+    table = text.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
+    documented = [
+        name
+        for row in table.splitlines()
+        for name in re.findall(r"`([a-z_]+\.[a-z_]+)`", row.split("|")[1])
+    ]
+    assert sorted(documented) == sorted(scenario_keys())
