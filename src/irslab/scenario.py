@@ -88,16 +88,13 @@ _KEYS = {
 }
 
 
-def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A scenario resolved once by `parse_scenario`.
 
     `values` holds the file values (file units) and `digest` their stable hash
-    (sorted key=repr lines); every other field is built from them in SI units.
+    (sorted key=repr lines). The other fields are built from them, in SI units
+    except `p_bs_dbm`.
     """
 
     values: dict
@@ -113,8 +110,9 @@ class Scenario:
 
 
 def _watts(key: str, dbm: float) -> float:
+    """`dbm` in watts; a level that overflows a float or rounds to 0 W is an error."""
     try:
-        watts = dbm_to_watts(dbm)
+        watts = 10.0 ** ((dbm - 30.0) / 10.0)
     except OverflowError:
         raise ScenarioError(f"{key}: {dbm:g} dBm is too large to express in watts") from None
     if watts == 0.0:
@@ -191,7 +189,8 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         if "=" not in line:
             raise ScenarioError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+        key = key.strip()
+        value = value.strip()
         if key not in _KEYS:
             raise ScenarioError(f"{source}:{lineno}: unknown key {key!r}")
         if key in seen:
