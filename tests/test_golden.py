@@ -4,7 +4,10 @@ Each CLI experiment runs on ``scenarios/default.scn`` and
 ``scenarios/mirrored-y.scn``. The data sections (every line that does not
 start with ``#``) of ``gain-profile``, ``rate-sweep`` and a 21x21-point
 ``beam-pattern`` are pinned by SHA-256 digest, so they must stay byte
-identical. ``export-config`` is pinned the same way, minus its version line.
+identical. ``export-config`` is pinned the same way, minus its version line,
+and so are the ``--format json`` outputs of ``gain-profile``, ``rate-sweep``
+and the 21x21-point ``beam-pattern``, which also pins the ``# peak:``
+comments.
 The ``td-count-sweep`` and ``delay-range-sweep`` edge gains are pinned by
 value to an absolute 1e-13: they are reductions whose last bits depend on the
 summation layout.
@@ -45,6 +48,23 @@ GOLDEN_DIGESTS = {
         "beam-pattern/dldd": "07f31364c02ac9e7aed580ed42ff0e81f146bd1ce9c7df51df2c140d7e76cca3",
         "export-config/per-element": "4fcc929199f6670e9be952a8d8e2bc277134ae6c1087eb4afc0e479059a616d6",
         "beam-pattern/per-element": "787002f81e282c743677b04525a87ad887ce61e740b7a0cbb004ec9c7fb2a11a",
+    },
+}
+
+GOLDEN_JSON_DIGESTS = {
+    "default.scn": {
+        "gain-profile": "340770d5156e4d894d87ec1e1ec74ee445c9cb674c50d85fe185b89afdc3afe6",
+        "rate-sweep": "7b6460f30a9a86f730eed70748435a03026763957e4412dcbd0f73d7b12249da",
+        "beam-pattern/narrowband": "1a001fa086f060debeedc300804edfe4ff14d1f19c3a1026098acfcb432ef7dd",
+        "beam-pattern/dldd": "3095fe3887dd678bb26a1bb20f9fe7c5cd31c881b981ab5ec88ac7737f2fe817",
+        "beam-pattern/per-element": "396eb5a375ce717bc8adc59f062c6b66a84dae54f637b5f1ee1bf43d7a419ad9",
+    },
+    "mirrored-y.scn": {
+        "gain-profile": "2bb0b20d9bd330edcc998e59c86425aae7d8a320699a01d91914a3db9ae7c7d3",
+        "rate-sweep": "f8bd44a6d4b180ee3e1eac248eca9cfd42572bf8c6e09e1d86d4b09f32e0f5c2",
+        "beam-pattern/narrowband": "84fad53caee03cf48f8349ab881c172baee38162bc1cc5c4a3f26cbb829f13d0",
+        "beam-pattern/dldd": "630b77c6825ccd2d29729b5fd5a02de6b2f88fba7e925924ca56a4e35706048d",
+        "beam-pattern/per-element": "5c8ccebe05c764e0baebacd6d68dff17e574b839682968c4ee9e8621f7bd3f0a",
     },
 }
 
@@ -161,6 +181,19 @@ def _outputs(name: str, tmp_path: Path) -> dict:
     return out
 
 
+def _json_outputs(name: str, tmp_path: Path) -> dict:
+    """Digest per pinned ``--format json`` output of one bundled scenario, minus its version line."""
+    scn = str(SCENARIO_DIR / name)
+    small = str(_small_plane_scenario(name, tmp_path))
+    runs = {command: [command, "--scenario", scn] for command in ("gain-profile", "rate-sweep")}
+    for design in DESIGN_NAMES:
+        runs[f"beam-pattern/{design}"] = ["beam-pattern", "--scenario", small, "--design", design]
+    return {
+        key: _data_digest(_run(tmp_path, [*argv, "--format", "json"]), skip='"version"')
+        for key, argv in runs.items()
+    }
+
+
 def _sweep_rows(tmp_path: Path, command: str, scn: str) -> list:
     lines = _run(tmp_path, [command, "--scenario", scn]).splitlines()
     return [
@@ -173,6 +206,11 @@ def _sweep_rows(tmp_path: Path, command: str, scn: str) -> list:
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_data_sections_are_byte_identical(name, tmp_path):
     assert _outputs(name, tmp_path) == GOLDEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_json_outputs_are_byte_identical(name, tmp_path):
+    assert _json_outputs(name, tmp_path) == GOLDEN_JSON_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
