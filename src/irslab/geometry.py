@@ -163,7 +163,7 @@ class Scene:
                     f"{name} lies exactly in the panel plane (x = 0); "
                     "formulas remain defined but placement is grazing",
                     PanelPlaneWarning,
-                    stacklevel=2,
+                    stacklevel=3,  # past the dataclass-generated __init__, to its caller
                 )
 
     def endpoint(self, which: str) -> Point3:

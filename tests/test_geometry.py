@@ -272,6 +272,11 @@ class TestSceneAndPartition:
         with pytest.warns(PanelPlaneWarning):
             Scene(Point3(0.0, 1.5, -1.5), Point3(2, -4, -2), small_layout, small_partition)
 
+    def test_panel_plane_warning_points_at_the_caller(self, small_layout, small_partition):
+        with pytest.warns(PanelPlaneWarning) as caught:
+            Scene(Point3(0.0, 1.5, -1.5), Point3(2, -4, -2), small_layout, small_partition)
+        assert [w.filename for w in caught] == [__file__]
+
     def test_subsurface_centers_table(self, small_layout, small_partition):
         table = subsurface_centers(small_layout, small_partition)
         assert table.shape == (4, 4, 3)
