@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import IO, Sequence
 
 import numpy as np
@@ -38,35 +38,46 @@ DESIGN_NAMES = ("narrowband", "dldd", "per-element")
 FREQUENCY_TOKENS = ("f1", "fc", "fM")
 
 
+# rows converted to Python numbers at a time by the writers; bounds their extra memory
+_BLOCK_ROWS = 4096
+
+
 @dataclass(frozen=True)
 class ResultTable:
-    """A rectangular numeric result with a provenance header."""
+    """Named, equal-length numeric columns with a provenance header."""
 
     experiment: str
     scenario_hash: str
-    columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
-    comments: tuple[str, ...] = field(default=())
-    version: str = __version__
+    data: dict[str, np.ndarray]
+    comments: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("rows must match the column count")
+        shapes = {np.shape(c) for c in self.data.values()}
+        if len(shapes) > 1 or any(len(s) != 1 for s in shapes):
+            raise ValueError("columns must be 1-D arrays of one length")
 
-    @staticmethod
-    def _cell(value) -> str:
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-        return repr(float(value))
+    @property
+    def columns(self) -> tuple[str, ...]:
+        return tuple(self.data)
+
+    @property
+    def rows(self) -> list[tuple]:
+        """Every row as a tuple of Python numbers, in a new list."""
+        return list(self._rows())
+
+    def _rows(self, dtype=None):
+        """Yield each row as a tuple of Python numbers, converting a block of rows at a time."""
+        cols = tuple(self.data.values())
+        for start in range(0, len(next(iter(cols), ())), _BLOCK_ROWS):
+            yield from zip(*(np.asarray(c[start:start + _BLOCK_ROWS], dtype).tolist() for c in cols))
 
     def to_csv(self, fh: IO[str]) -> None:
         fh.write(f"# experiment: {self.experiment}\n")
         fh.write(f"# scenario-hash: {self.scenario_hash}\n")
-        fh.write(f"# version: irslab {self.version}\n")
+        fh.write(f"# version: irslab {__version__}\n")
         fh.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            fh.write(",".join(self._cell(v) for v in row) + "\n")
+        for row in self._rows():
+            fh.write(",".join(map(repr, row)) + "\n")
         for comment in self.comments:
             fh.write(f"# {comment}\n")
 
@@ -75,10 +86,10 @@ class ResultTable:
             {
                 "experiment": self.experiment,
                 "scenario_hash": self.scenario_hash,
-                "version": self.version,
+                "version": __version__,
                 "comments": list(self.comments),
                 "columns": list(self.columns),
-                "rows": [list(map(float, row)) for row in self.rows],
+                "rows": list(self._rows(float)),
             },
             fh,
             indent=2,
@@ -86,12 +97,17 @@ class ResultTable:
         fh.write("\n")
 
     def column(self, name: str) -> np.ndarray:
-        idx = self.columns.index(name)
-        return np.array([row[idx] for row in self.rows])
+        return self.data[name].copy()
 
 
 def _column_name(design: str) -> str:
     return design.replace("-", "_")
+
+
+def _unique(designs: Sequence[str]) -> Sequence[str]:
+    if len(set(designs)) < len(designs):
+        raise ScenarioError(f"designs {list(designs)} name a design more than once")
+    return designs
 
 
 def build_design(scenario: Scenario, name: str) -> BeamformerConfig:
@@ -133,18 +149,11 @@ def run_gain_profile(
 ) -> ResultTable:
     """Normalized array gain at each subcarrier for the selected designs."""
     scene, grid = scenario.scene, scenario.grid
-    profiles = {name: gain_profile(scene, grid, build_design(scenario, name)) for name in designs}
-    freqs = grid.frequencies
-    rows = tuple(
-        (m, freqs[m] / 1e9, *(float(profiles[name].gains[m]) for name in designs))
-        for m in range(grid.m_count)
-    )
-    return ResultTable(
-        experiment="gain-profile",
-        scenario_hash=scenario.digest,
-        columns=("subcarrier_index", "frequency_ghz", *(f"gain_{_column_name(n)}" for n in designs)),
-        rows=rows,
-    )
+    data = {"subcarrier_index": np.arange(grid.m_count), "frequency_ghz": grid.frequencies / 1e9}
+    for name in _unique(designs):
+        profile = gain_profile(scene, grid, build_design(scenario, name))
+        data[f"gain_{_column_name(name)}"] = profile.gains
+    return ResultTable("gain-profile", scenario.digest, data)
 
 
 def run_beam_pattern(
@@ -157,24 +166,18 @@ def run_beam_pattern(
     freqs = resolve_frequencies(scenario, frequencies)
     pattern = beam_pattern(scenario.scene, scenario.grid, config, freqs, scenario.plane)
     xs, ys = pattern.plane.x_coords(), pattern.plane.y_coords()
-    rows = tuple(
-        (f / 1e9, x, y, float(g))
-        for f, plane_gains in zip(pattern.frequencies, pattern.gains)
-        for x, row in zip(xs, plane_gains)
-        for y, g in zip(ys, row)
-    )
+    data = {
+        "frequency_ghz": np.repeat(pattern.frequencies / 1e9, xs.size * ys.size),
+        "x_m": np.tile(np.repeat(xs, ys.size), len(freqs)),
+        "y_m": np.tile(ys, len(freqs) * xs.size),
+        "gain": pattern.gains.ravel(),
+    }
     comments = tuple(
         "peak: frequency_ghz=%s x_m=%s y_m=%s gain=%s ix=%d iy=%d"
         % (repr(p.frequency / 1e9), repr(p.x), repr(p.y), repr(p.gain), p.ix, p.iy)
         for p in pattern.peaks
     )
-    return ResultTable(
-        experiment="beam-pattern",
-        scenario_hash=scenario.digest,
-        columns=("frequency_ghz", "x_m", "y_m", "gain"),
-        rows=rows,
-        comments=comments,
-    )
+    return ResultTable("beam-pattern", scenario.digest, data, comments)
 
 
 def _edge_gains(
@@ -190,53 +193,40 @@ def run_td_count_sweep(scenario: Scenario) -> ResultTable:
     """Edge-subcarrier gain of the DLDD design versus the delta-delay module count."""
     scene, grid = scenario.scene, scenario.grid
     r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
-    rows = []
-    for k in scenario.partition_sizes:
-        part = SubsurfacePartition.for_layout(scene.layout, k, k)
-        config = dldd_design(scene, grid, part)
-        rows.append((td_module_count(part), _edge_gains(config, grid, r_bs, r_user)))
-    return ResultTable(
-        experiment="td-count-sweep",
-        scenario_hash=scenario.digest,
-        columns=("k_t", "edge_gain"),
-        rows=tuple(rows),
-    )
+    parts = [SubsurfacePartition.for_layout(scene.layout, k, k) for k in scenario.partition_sizes]
+    data = {
+        "k_t": np.array([td_module_count(part) for part in parts]),
+        "edge_gain": np.array(
+            [_edge_gains(dldd_design(scene, grid, part), grid, r_bs, r_user) for part in parts]
+        ),
+    }
+    return ResultTable("td-count-sweep", scenario.digest, data)
 
 
 def run_delay_range_sweep(scenario: Scenario) -> ResultTable:
     """Edge gain of DLDD and the per-element benchmark under a module-delay cap."""
     scene, grid = scenario.scene, scenario.grid
     r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
-    designs = (build_design(scenario, "dldd"), build_design(scenario, "per-element"))
-    rows = tuple(
-        (t * 1e12, *(_edge_gains(replace(d, delay_cap=t), grid, r_bs, r_user) for d in designs))
-        for t in scenario.t_req_seconds
-    )
-    return ResultTable(
-        experiment="delay-range-sweep",
-        scenario_hash=scenario.digest,
-        columns=("t_req_ps", "edge_gain_dldd", "edge_gain_per_element"),
-        rows=rows,
-    )
+    data = {"t_req_ps": np.array(scenario.t_req_seconds) * 1e12}
+    for name in ("dldd", "per-element"):
+        design = build_design(scenario, name)
+        data[f"edge_gain_{_column_name(name)}"] = np.array([
+            _edge_gains(replace(design, delay_cap=t), grid, r_bs, r_user)
+            for t in scenario.t_req_seconds
+        ])
+    return ResultTable("delay-range-sweep", scenario.digest, data)
 
 
 def run_rate_sweep(scenario: Scenario, designs: Sequence[str] = DESIGN_NAMES) -> ResultTable:
     """Mean achievable rate per design versus BS transmit power."""
     scene, grid, noise = scenario.scene, scenario.grid, scenario.noise_density
-    gains = {
-        name: cascade_gain_magnitudes(scene, grid, build_design(scenario, name))
-        for name in designs
-    }
-    rows = tuple(
-        (p_dbm, *(float(rates_from_gain(gains[n], grid, watts, noise).mean()) for n in designs))
-        for p_dbm, watts in zip(scenario.p_bs_dbm, scenario.p_bs_watts)
-    )
-    return ResultTable(
-        experiment="rate-sweep",
-        scenario_hash=scenario.digest,
-        columns=("p_bs_dbm", *(f"rate_{_column_name(n)}" for n in designs)),
-        rows=rows,
-    )
+    data = {"p_bs_dbm": np.array(scenario.p_bs_dbm)}
+    for name in _unique(designs):
+        gains = cascade_gain_magnitudes(scene, grid, build_design(scenario, name))
+        data[f"rate_{_column_name(name)}"] = np.array(
+            [rates_from_gain(gains, grid, watts, noise).mean() for watts in scenario.p_bs_watts]
+        )
+    return ResultTable("rate-sweep", scenario.digest, data)
 
 
 def export_config(scenario: Scenario, design: str) -> dict:

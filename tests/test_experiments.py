@@ -1,15 +1,24 @@
+import gc
 import io
 import json
+import re
+import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from irslab import experiments
+from irslab import __version__, experiments
 from irslab.channel import element_distances
 from irslab.cli import main
 from irslab.experiments import (
+    DESIGN_NAMES,
+    ResultTable,
     export_config,
     run_beam_pattern,
     run_delay_range_sweep,
@@ -206,6 +215,39 @@ class TestRateSweep:
         table = run_rate_sweep(small_scenario)
         nb = table.column("rate_narrowband")
         assert np.all(np.diff(nb) > 0)
+
+
+@pytest.mark.parametrize("run", [run_gain_profile, run_rate_sweep])
+@pytest.mark.parametrize("designs", [("dldd", "dldd"), ("narrowband", "dldd", "narrowband")])
+def test_repeated_design_rejected(small_scenario, run, designs):
+    # a repeated design would name two columns alike
+    with pytest.raises(ScenarioError, match="more than once"):
+        run(small_scenario, designs=designs)
+
+
+def test_documented_columns_match_the_runners(small_scenario):
+    text = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
+    table = text.split("| experiment | columns |\n", 1)[1].split("\n\n", 1)[0]
+    suffixes = [name.replace("-", "_") for name in DESIGN_NAMES]
+    documented = {}
+    for row in table.splitlines()[1:]:
+        experiment, columns = [cell.strip() for cell in row.strip("|").split("|")]
+        names = re.search(r"`([^`]*)`", columns).group(1).split(", ")
+        documented[experiment.strip("`")] = tuple(
+            expanded
+            for name in names
+            for expanded in (
+                [name.replace("<design>...", s) for s in suffixes] if "<design>" in name else [name]
+            )
+        )
+    runners = {
+        "gain-profile": run_gain_profile,
+        "beam-pattern": run_beam_pattern,
+        "td-count-sweep": run_td_count_sweep,
+        "delay-range-sweep": run_delay_range_sweep,
+        "rate-sweep": run_rate_sweep,
+    }
+    assert {name: run(small_scenario).columns for name, run in runners.items()} == documented
 
 
 class TestDeterminismAndProvenance:
@@ -438,3 +480,109 @@ class TestCli:
         ])
         assert rc == 0
         assert "# peak:" in out.read_text()
+
+
+BLOCK = experiments._BLOCK_ROWS
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+               sys.float_info.max, -sys.float_info.max]
+INT64 = np.iinfo(np.int64)
+MIB = 1 << 20
+
+
+def _old_cell(value) -> str:
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def old_writers(table: ResultTable) -> tuple[str, str]:
+    """CSV and JSON as the row-tuple table wrote them: the reference for the column writers."""
+    rows = list(zip(*(table.column(name) for name in table.columns)))
+    csv = io.StringIO()
+    csv.write(f"# experiment: {table.experiment}\n")
+    csv.write(f"# scenario-hash: {table.scenario_hash}\n")
+    csv.write(f"# version: irslab {__version__}\n")
+    csv.write(",".join(table.columns) + "\n")
+    for row in rows:
+        csv.write(",".join(_old_cell(v) for v in row) + "\n")
+    for comment in table.comments:
+        csv.write(f"# {comment}\n")
+    js = io.StringIO()
+    json.dump(
+        {
+            "experiment": table.experiment,
+            "scenario_hash": table.scenario_hash,
+            "version": __version__,
+            "comments": list(table.comments),
+            "columns": list(table.columns),
+            "rows": [list(map(float, row)) for row in rows],
+        },
+        js,
+        indent=2,
+    )
+    js.write("\n")
+    return csv.getvalue(), js.getvalue()
+
+
+@st.composite
+def tables(draw):
+    """Tables of int64 and float64 columns with row counts around the writers' block size."""
+    n = draw(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]))
+    kinds = {
+        np.int64: st.integers(int(INT64.min), int(INT64.max)),
+        np.float64: st.sampled_from(FLOAT_EDGES) | st.floats(allow_nan=False, allow_infinity=False),
+    }
+    dtypes = draw(st.lists(st.sampled_from(list(kinds)), min_size=1, max_size=4))
+    data = {f"c{i}": draw(arrays(dt, n, elements=kinds[dt])) for i, dt in enumerate(dtypes)}
+    return ResultTable("beam-pattern", "0" * 64, data, ("peak: gain=1.0 ix=0",))
+
+
+EDGE_TABLE = ResultTable("rate-sweep", "f" * 64, {
+    "i": np.resize(np.array([0, 1, -1, INT64.min, INT64.max]), 2 * BLOCK + 1),
+    "f": np.resize(np.array(FLOAT_EDGES), 2 * BLOCK + 1),
+})
+
+
+class TestWriters:
+    @settings(max_examples=30, deadline=None)
+    @given(table=tables())
+    @example(table=EDGE_TABLE)
+    def test_match_the_row_writer(self, table):
+        csv, js = io.StringIO(), io.StringIO()
+        table.to_csv(csv)
+        table.to_json(js)
+        assert (csv.getvalue(), js.getvalue()) == old_writers(table)
+
+    def test_unknown_column_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            EDGE_TABLE.column("gain")
+
+    def test_column_is_a_copy(self):
+        EDGE_TABLE.column("f")[:] = 1.0
+        assert EDGE_TABLE.column("f")[1] == -0.0 and np.signbit(EDGE_TABLE.column("f")[1])
+
+    def test_large_beam_pattern_holds_only_its_columns(self, small_scenario):
+        """A 401x401 plane table keeps its column bytes, and writing it adds a bounded block."""
+
+        class Sink:
+            def write(self, text: str) -> int:
+                return len(text)
+
+        big = parse_scenario(SMALL.replace("points_x = 11", "points_x = 401")
+                             .replace("points_y = 11", "points_y = 401"))
+        run_beam_pattern(small_scenario)  # builds the kernel's cached tables outside the trace
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            table = run_beam_pattern(big)
+            retained = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            table.to_csv(Sink())
+            added = tracemalloc.get_traced_memory()[1] - base - retained
+        finally:
+            tracemalloc.stop()
+        column_bytes = 4 * 3 * 401 * 401 * 8
+        assert sum(table.column(name).nbytes for name in table.columns) == column_bytes
+        assert retained <= column_bytes + MIB
+        assert added <= MIB
