@@ -192,6 +192,12 @@ def _edge_gains(
 def run_td_count_sweep(scenario: Scenario) -> ResultTable:
     """Edge-subcarrier gain of the DLDD design versus the delta-delay module count."""
     scene, grid = scenario.scene, scenario.grid
+    if scene.layout.n_y != scene.layout.n_z:
+        raise ScenarioError(
+            "sweep.partition_sizes: td-count-sweep takes k x k partitions, "
+            f"so it needs a square panel (irs.n_y == irs.n_z), not "
+            f"{scene.layout.n_y}x{scene.layout.n_z}"
+        )
     r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
     parts = [SubsurfacePartition.for_layout(scene.layout, k, k) for k in scenario.partition_sizes]
     data = {

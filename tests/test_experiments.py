@@ -481,6 +481,18 @@ class TestCli:
         assert rc == 0
         assert "# peak:" in out.read_text()
 
+    def test_td_count_sweep_on_non_square_panel_names_the_key(self, tmp_path, capsys):
+        # sizes that divide both axes load, but no k x k partition of 100x50 is square
+        scn = tmp_path / "wide.scn"
+        scn.write_text("irs.n_y = 100\nirs.n_z = 50\npartition.k_y = 10\npartition.k_z = 5\n"
+                       "sweep.partition_sizes = 1,2,5,10,25,50\n")
+        assert main(["gain-profile", "--scenario", str(scn), "--out", str(tmp_path / "gp.csv")]) == 0
+        out = tmp_path / "tc.csv"
+        assert main(["td-count-sweep", "--scenario", str(scn), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep.partition_sizes: ") and "irs.n_y == irs.n_z" in err
+        assert not out.exists()
+
 
 BLOCK = experiments._BLOCK_ROWS
 FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
