@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .channel import CascadedDecomposition, cascaded_decomposition, path_length_difference
-from .geometry import FrequencyGrid, Scene, SubsurfacePartition
+from .geometry import SPEED_OF_LIGHT, FrequencyGrid, Scene, SubsurfacePartition
 
 
 def _saturate(delays: np.ndarray, clamp: Optional[float]) -> np.ndarray:
@@ -63,20 +63,13 @@ class DlddDelayNetwork:
     switch_sign: int
 
     def __post_init__(self) -> None:
-        if self.first_layer.shape != (self.k_y - 1,):
+        k_y, k_z = self.partition.k_y, self.partition.k_z
+        if self.first_layer.shape != (k_y - 1,):
             raise ValueError("first layer must hold k_y - 1 deltas")
-        if self.second_layer.shape != (self.k_y, self.k_z - 1):
+        if self.second_layer.shape != (k_y, k_z - 1):
             raise ValueError("second layer must hold k_y groups of k_z - 1 deltas")
         if self.switch_sign not in (-1, 1):
             raise ValueError("switch_sign must be +1 or -1")
-
-    @property
-    def k_y(self) -> int:
-        return self.partition.k_y
-
-    @property
-    def k_z(self) -> int:
-        return self.partition.k_z
 
     def module_delays(self) -> np.ndarray:
         """Physical (routed, non-negative) delays of all K-1 modules, flat."""
@@ -90,7 +83,7 @@ class DlddDelayNetwork:
         """
         rows = np.concatenate([[0.0], np.cumsum(_saturate(self.first_layer, clamp))])
         cols = np.cumsum(_saturate(self.second_layer, clamp), axis=1)
-        cols = np.concatenate([np.zeros((self.k_y, 1)), cols], axis=1)
+        cols = np.concatenate([np.zeros((self.partition.k_y, 1)), cols], axis=1)
         return rows[:, None] + cols
 
     def element_delays(self, clamp: Optional[float]) -> np.ndarray:
@@ -104,11 +97,16 @@ class DlddDelayNetwork:
         return float(self.module_delays().max(initial=0.0))
 
     def as_dict(self) -> dict:
+        """The top-level export keys of this network: its partition, then the network."""
+        p = self.partition
         return {
-            "type": "dldd",
-            "switch_sign": self.switch_sign,
-            "first_layer_s": self.first_layer.tolist(),
-            "second_layer_s": self.second_layer.tolist(),
+            "partition": {"k_y": p.k_y, "k_z": p.k_z, "s": p.s},
+            "delay_network": {
+                "type": "dldd",
+                "switch_sign": self.switch_sign,
+                "first_layer_s": self.first_layer.tolist(),
+                "second_layer_s": self.second_layer.tolist(),
+            },
         }
 
 
@@ -131,7 +129,8 @@ class PerElementDelayConfig:
         return float(np.abs(self.tau).max())
 
     def as_dict(self) -> dict:
-        return {"type": "per-element", "tau_s": self.tau.tolist()}
+        """The top-level export key of this network."""
+        return {"delay_network": {"type": "per-element", "tau_s": self.tau.tolist()}}
 
 
 DelayNetwork = Union[None, DlddDelayNetwork, PerElementDelayConfig]
@@ -194,10 +193,7 @@ class BeamformerConfig:
             "phases_rad": self.phases.theta.tolist(),
         }
         net = self.delay_network
-        partition = getattr(net, "partition", None)
-        if partition is not None:
-            out["partition"] = {"k_y": partition.k_y, "k_z": partition.k_z, "s": partition.s}
-        out["delay_network"] = {"type": "none"} if net is None else net.as_dict()
+        out.update({"delay_network": {"type": "none"}} if net is None else net.as_dict())
         return out
 
 
@@ -232,9 +228,9 @@ def narrowband_design(scene: Scene, grid: FrequencyGrid) -> BeamformerConfig:
     )
 
 
-def required_subsurface_delays(decomp: CascadedDecomposition, c: float) -> np.ndarray:
+def required_subsurface_delays(decomp: CascadedDecomposition) -> np.ndarray:
     """Dedicated delay per sub-surface, tau_k = -inter_delta_r_k / c, shape (k_y, k_z)."""
-    return -decomp.inter_delta_r / c
+    return -decomp.inter_delta_r / SPEED_OF_LIGHT
 
 
 def _family_signs(values: np.ndarray) -> tuple[bool, int]:
@@ -248,7 +244,7 @@ def _family_signs(values: np.ndarray) -> tuple[bool, int]:
     return False, 1 if pos.sum() >= neg.sum() else -1
 
 
-def sign_consistency_check(decomp: CascadedDecomposition, c: float) -> SignReport:
+def sign_consistency_check(decomp: CascadedDecomposition) -> SignReport:
     """Verify the sign structure the 2-output switches rely on.
 
     Checks that the dedicated sub-surface delays, the first-layer deltas and
@@ -256,7 +252,7 @@ def sign_consistency_check(decomp: CascadedDecomposition, c: float) -> SignRepor
     sign of the dedicated-delay family; inconsistency is an outcome, not an
     error, and the offending modules are named in the report.
     """
-    tau = required_subsurface_delays(decomp, c)
+    tau = required_subsurface_delays(decomp)
     first = tau[1:, 0] - tau[:-1, 0]
     second = tau[:, 1:] - tau[:, :-1]
 
@@ -290,8 +286,8 @@ def dldd_design(
     if partition is None:
         partition = scene.partition
     decomp = cascaded_decomposition(scene, partition)
-    tau = required_subsurface_delays(decomp, grid.c)
-    report = sign_consistency_check(decomp, grid.c)
+    tau = required_subsurface_delays(decomp)
+    report = sign_consistency_check(decomp)
     if not report.consistent:
         warnings.warn(
             SignConsistencyWarning(
@@ -322,10 +318,11 @@ def cumulative_delay(network: DlddDelayNetwork, ky: int, kz: int) -> float:
     Sum of the first ky-1 first-layer deltas and the first kz-1 deltas of
     row ky's second-layer group; zero at (1, 1).
     """
-    if not 1 <= ky <= network.k_y:
-        raise ValueError(f"ky={ky} outside [1, {network.k_y}]")
-    if not 1 <= kz <= network.k_z:
-        raise ValueError(f"kz={kz} outside [1, {network.k_z}]")
+    p = network.partition
+    if not 1 <= ky <= p.k_y:
+        raise ValueError(f"ky={ky} outside [1, {p.k_y}]")
+    if not 1 <= kz <= p.k_z:
+        raise ValueError(f"kz={kz} outside [1, {p.k_z}]")
     return float(
         network.first_layer[: ky - 1].sum() + network.second_layer[ky - 1, : kz - 1].sum()
     )

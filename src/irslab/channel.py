@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    SPEED_OF_LIGHT,
     DegenerateGeometryError,
     FrequencyGrid,
     Scene,
@@ -140,10 +141,8 @@ def cascaded_decomposition(scene: Scene, partition: SubsurfacePartition) -> Casc
     )
 
 
-def cascaded_phase_from_decomposition(
-    decomp: CascadedDecomposition, f: float, c: float
-) -> np.ndarray:
+def cascaded_phase_from_decomposition(decomp: CascadedDecomposition, f: float) -> np.ndarray:
     """Per-element piecewise cascaded phase -2*pi*(f/c)*(inter - intra), shape (N,)."""
     s = decomp.partition.s
     inter_el = np.repeat(np.repeat(decomp.inter_delta_r, s, axis=0), s, axis=1).reshape(-1)
-    return -2.0 * np.pi * f / c * (inter_el - decomp.intra_delta_phi)
+    return -2.0 * np.pi * f / SPEED_OF_LIGHT * (inter_el - decomp.intra_delta_phi)

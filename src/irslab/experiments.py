@@ -185,7 +185,7 @@ def _edge_gains(
 ) -> float:
     """Smaller of the two edge-subcarrier normalized gains, given both element distances."""
     f1, f_m = grid.frequencies[[0, -1]]
-    sums = _cascade_sums(config, r_bs, r_user, grid.c, f1, f_m - f1, 2)
+    sums = _cascade_sums(config, r_bs, r_user, f1, f_m - f1, 2)
     return min(float(np.abs(sums).min()) / r_bs.size, 1.0)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -109,13 +110,13 @@ class FrequencyGrid:
 
     Subcarrier m (0-based) sits at f_c + (bandwidth / m_count) * (m - (m_count-1)/2),
     so the grid spans f_c +/- bandwidth*(m_count-1)/(2*m_count). Edge subcarriers
-    are indices 0 and m_count - 1.
+    are indices 0 and m_count - 1. `c` is the class constant SPEED_OF_LIGHT.
     """
 
     f_c: float
     bandwidth: float
     m_count: int
-    c: float = SPEED_OF_LIGHT
+    c: ClassVar[float] = SPEED_OF_LIGHT
 
     def __post_init__(self) -> None:
         if self.f_c <= 0:
@@ -124,8 +125,6 @@ class FrequencyGrid:
             raise ValueError("bandwidth must be positive")
         if self.m_count < 1:
             raise ValueError("subcarrier count must be >= 1")
-        if self.c <= 0:
-            raise ValueError("propagation speed must be positive")
         lowest = self.frequencies[0]
         if lowest <= 0:
             raise ValueError(f"lowest subcarrier at {lowest / 1e9:g} GHz must be above 0 GHz")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .beamforming import BeamformerConfig
 from .channel import element_distances
-from .geometry import FrequencyGrid, Scene, element_positions
+from .geometry import SPEED_OF_LIGHT, FrequencyGrid, Scene, element_positions
 
 GAIN_TOL = 1e-9
 # bytes of beam-pattern temporaries that all worker threads together may hold: the
@@ -142,7 +142,7 @@ def _powers(step: np.ndarray, count: int) -> np.ndarray:
 
 
 def _cascade_sums(
-    config: BeamformerConfig, r_bs: np.ndarray, r_user: np.ndarray, c: float,
+    config: BeamformerConfig, r_bs: np.ndarray, r_user: np.ndarray,
     f0: float, df: float, count: int, weights: float | np.ndarray = 1.0,
 ) -> np.ndarray:
     """Sums over the elements of w_n exp(j*(anchor_n - 2*pi*f_i*delta_n)), f_i = f0 + i*df.
@@ -153,7 +153,7 @@ def _cascade_sums(
     subcarriers), and one matrix product give every sum.
     """
     anchor, tau = config.anchor_and_delays()
-    delta = (r_bs - r_user) / c + tau
+    delta = (r_bs - r_user) / SPEED_OF_LIGHT + tau
     block = int(np.ceil(np.sqrt(count)))
     rows = _powers(-2 * np.pi * block * df * delta, -(-count // block))
     rows *= weights * np.exp(1j * (anchor - 2 * np.pi * f0 * delta))
@@ -171,7 +171,7 @@ def gain_profile(scene: Scene, grid: FrequencyGrid, config: BeamformerConfig) ->
     """Normalized array gain at every subcarrier of the grid."""
     r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
     f, df = grid.frequencies, grid.bandwidth / grid.m_count
-    sums = _cascade_sums(config, r_bs, r_user, grid.c, f[0], df, f.size)
+    sums = _cascade_sums(config, r_bs, r_user, f[0], df, f.size)
     return GainProfile(frequencies=f, gains=np.minimum(np.abs(sums) / r_bs.size, 1.0))
 
 
@@ -411,7 +411,7 @@ def cascade_gain_magnitudes(
     """
     r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
     f, df = grid.frequencies, grid.bandwidth / grid.m_count
-    sums = _cascade_sums(config, r_bs, r_user, grid.c, f[0], df, f.size, 1 / (r_bs * r_user))
+    sums = _cascade_sums(config, r_bs, r_user, f[0], df, f.size, 1 / (r_bs * r_user))
     return (grid.c / (4.0 * np.pi * f)) ** 2 * np.abs(sums)
 
 

@@ -104,7 +104,7 @@ def test_criterion_04_hardware_accounting(env):
 def test_criterion_05_delay_range_compression(env):
     _, scene, grid, designs, _ = env
     decomp = cascaded_decomposition(scene, scene.partition)
-    dedicated = float(np.abs(required_subsurface_delays(decomp, grid.c)).max())
+    dedicated = float(np.abs(required_subsurface_delays(decomp)).max())
     module = required_delay_range(designs["dldd"])
     ratio = dedicated / module
     ok = dedicated >= 5000e-12 and module <= 20e-12 and ratio >= 250
@@ -225,7 +225,7 @@ def test_criterion_09_sign_consistency_suite(env):
     scenario, scene, grid, _, _ = env
     layout, partition = scenario.scene.layout, scenario.scene.partition
 
-    default_report = sign_consistency_check(cascaded_decomposition(scene, partition), grid.c)
+    default_report = sign_consistency_check(cascaded_decomposition(scene, partition))
 
     rng = np.random.default_rng(20250810)
     counterexamples = []
@@ -233,7 +233,7 @@ def test_criterion_09_sign_consistency_suite(env):
         near, far = _random_endpoint_pair(rng)
         bs, user = (near, far) if trial % 2 == 0 else (far, near)
         trial_scene = Scene(Point3(*bs), Point3(*user), layout, partition)
-        rep = sign_consistency_check(cascaded_decomposition(trial_scene, partition), grid.c)
+        rep = sign_consistency_check(cascaded_decomposition(trial_scene, partition))
         if not rep.consistent:
             counterexamples.append((trial, bs, user, rep.offending_modules[:5]))
     for trial, bs, user, offenders in counterexamples:

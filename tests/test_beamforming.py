@@ -83,21 +83,21 @@ class TestRequiredSubsurfaceDelays:
             inter_delta_r=np.array([[-3.0]]),
             intra_delta_phi=np.zeros(1),
         )
-        tau = required_subsurface_delays(dec, C)
+        tau = required_subsurface_delays(dec)
         assert tau[0, 0] == pytest.approx(10000e-12, rel=1e-3)
         assert tau[0, 0] == pytest.approx(3.0 / C, rel=1e-15)
 
     def test_center_subsurface_default_scene(self):
         scene = default_centers_scene(k=5)
         dec = cascaded_decomposition(scene, scene.partition)
-        tau = required_subsurface_delays(dec, C)
+        tau = required_subsurface_delays(dec)
         oracle = (math.sqrt(24.0) - math.sqrt(4.5)) / C
         assert tau[2, 2] == pytest.approx(oracle, rel=1e-12)
         assert tau[2, 2] == pytest.approx(9265.3e-12, abs=0.1e-12)
 
     def test_zero_difference_zero_delay(self, mirror_scene):
         dec = cascaded_decomposition(mirror_scene, mirror_scene.partition)
-        assert np.allclose(required_subsurface_delays(dec, C), 0.0, atol=1e-18)
+        assert np.allclose(required_subsurface_delays(dec), 0.0, atol=1e-18)
 
 
 class TestDlddDesign:
@@ -200,14 +200,14 @@ class TestSignConsistency:
     def test_default_scene_consistent(self):
         scene = default_centers_scene()
         dec = cascaded_decomposition(scene, scene.partition)
-        report = sign_consistency_check(dec, C)
+        report = sign_consistency_check(dec)
         assert report.consistent
         assert report.sign == 1  # BS closer than user, so dedicated delays are positive
         assert report.offending_modules == ()
 
     def test_mirror_scene_trivially_consistent(self, mirror_scene):
         dec = cascaded_decomposition(mirror_scene, mirror_scene.partition)
-        report = sign_consistency_check(dec, C)
+        report = sign_consistency_check(dec)
         assert report.consistent
 
     def test_inconsistent_scene_warns_and_proceeds(self):
@@ -220,7 +220,7 @@ class TestSignConsistency:
         )
         grid = FrequencyGrid(f_c=300e9, bandwidth=30e9, m_count=4)
         dec = cascaded_decomposition(scene, part)
-        report = sign_consistency_check(dec, C)
+        report = sign_consistency_check(dec)
         assert not report.consistent
         assert len(report.offending_modules) > 0
         with pytest.warns(SignConsistencyWarning) as record:
@@ -424,7 +424,7 @@ class TestDlddNetworkPartition:
 
     def test_element_delays_follow_own_partition(self, small_scene, small_grid):
         net = dldd_design(small_scene, small_grid).delay_network
-        assert (net.k_y, net.k_z) == (4, 4)
+        assert (net.partition.k_y, net.partition.k_z) == (4, 4)
         delays = net.element_delays(None).reshape(20, 20)
         cum = net.cumulative_delays()
         assert delays[7, 13] == cum[1, 2]

@@ -113,12 +113,12 @@ def test_kernel_matches_direct_formula_on_the_progression(case):
     progression = f0 + df * np.arange(count)
     weights = 1.0 / (r_bs * r_user)
     for config in configs:
-        sums = _cascade_sums(config, r_bs, r_user, grid.c, f0, df, count)
+        sums = _cascade_sums(config, r_bs, r_user, f0, df, count)
         assert sums.shape == (count,)
         want = np.abs(direct_sums(config, r_bs, r_user, grid.c, progression))
         np.testing.assert_allclose(np.abs(sums) / r_bs.size, want / r_bs.size,
                                    rtol=0, atol=DRIFT_TOL)
-        sums = _cascade_sums(config, r_bs, r_user, grid.c, f0, df, count, weights)
+        sums = _cascade_sums(config, r_bs, r_user, f0, df, count, weights)
         want = np.abs(direct_sums(config, r_bs, r_user, grid.c, progression, weights))
         np.testing.assert_allclose(np.abs(sums), want, rtol=0,
                                    atol=DRIFT_TOL * np.abs(weights).sum())

@@ -150,7 +150,7 @@ class TestCascadedDecomposition:
         dec = cascaded_decomposition(small_scene, small_partition)
         cascade = g * np.conj(h)
         for m, f in enumerate(small_grid.frequencies):
-            rebuilt = cascaded_phase_from_decomposition(dec, float(f), small_grid.c)
+            rebuilt = cascaded_phase_from_decomposition(dec, float(f))
             err = wrapped_phase_diff(np.angle(cascade[:, m]), rebuilt)
             assert err.max() < 1e-9
 
