@@ -43,7 +43,8 @@ class PhaseShiftConfig:
     def __post_init__(self) -> None:
         if self.theta.ndim != 1:
             raise ValueError("theta must be a flat per-element array")
-        if np.any(self.theta < 0) or np.any(self.theta >= 2 * np.pi):
+        # written so that NaN fails the check
+        if not np.all((self.theta >= 0) & (self.theta < 2 * np.pi)):
             raise ValueError("phases must lie in [0, 2*pi)")
 
 
@@ -68,6 +69,8 @@ class DlddDelayNetwork:
             raise ValueError("first layer must hold k_y - 1 deltas")
         if self.second_layer.shape != (k_y, k_z - 1):
             raise ValueError("second layer must hold k_y groups of k_z - 1 deltas")
+        if not (np.all(np.isfinite(self.first_layer)) and np.all(np.isfinite(self.second_layer))):
+            raise ValueError("delta delays must be finite")
         if self.switch_sign not in (-1, 1):
             raise ValueError("switch_sign must be +1 or -1")
 

@@ -119,9 +119,9 @@ class FrequencyGrid:
     c: ClassVar[float] = SPEED_OF_LIGHT
 
     def __post_init__(self) -> None:
-        if self.f_c <= 0:
+        if not (np.isfinite(self.f_c) and self.f_c > 0):
             raise ValueError("center frequency must be positive")
-        if self.bandwidth <= 0:
+        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ValueError("bandwidth must be positive")
         if self.m_count < 1:
             raise ValueError("subcarrier count must be >= 1")

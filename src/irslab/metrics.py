@@ -77,6 +77,8 @@ class EvaluationPlane:
     def __post_init__(self) -> None:
         if self.n_x < 1 or self.n_y < 1:
             raise ValueError("plane resolution must be >= 1 point per axis")
+        if not np.all(np.isfinite([self.x_min, self.x_max, self.y_min, self.y_max, self.z])):
+            raise ValueError("plane extents and height must be finite")
         if self.x_min > self.x_max or self.y_min > self.y_max:
             raise ValueError("plane extents must be ordered")
         if (self.n_x > 1 and self.x_min == self.x_max) or (
@@ -419,9 +421,9 @@ def rates_from_gain(
     gain_mag: np.ndarray, grid: FrequencyGrid, p_bs: float, noise_density: float
 ) -> np.ndarray:
     """Per-subcarrier rate for a precomputed cascaded gain magnitude."""
-    if p_bs <= 0:
+    if not (np.isfinite(p_bs) and p_bs > 0):
         raise ValueError("transmit power must be positive")
-    if noise_density <= 0:
+    if not (np.isfinite(noise_density) and noise_density > 0):
         raise ValueError("noise density must be positive")
     m = grid.m_count
     snr = (p_bs / m) * gain_mag**2 / (noise_density * grid.bandwidth / m)

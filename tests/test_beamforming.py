@@ -396,6 +396,13 @@ def test_narrowband_cancellation_for_random_scenes(bs, user):
     assert normalized_array_gain(scene, grid, config, grid.f_c) == pytest.approx(1.0, abs=1e-9)
 
 
+class TestPhaseShiftConfig:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phase_rejected(self, value):
+        with pytest.raises(ValueError, match="phases"):
+            PhaseShiftConfig(np.array([0.1, value]))
+
+
 class TestDelayCap:
     def test_nan_cap_rejected(self, small_scene, small_grid):
         config = dldd_design(small_scene, small_grid)
@@ -421,6 +428,14 @@ class TestDlddNetworkPartition:
             replace(net, partition=SubsurfacePartition(4, 5, 5))
         with pytest.raises(ValueError, match="first layer"):
             replace(net, partition=SubsurfacePartition(5, 4, 5))
+
+    @pytest.mark.parametrize("layer, value", [("first_layer", np.nan), ("second_layer", np.inf)])
+    def test_non_finite_delta_rejected(self, small_scene, small_grid, layer, value):
+        net = dldd_design(small_scene, small_grid).delay_network
+        bad = getattr(net, layer).copy()
+        bad.flat[0] = value
+        with pytest.raises(ValueError, match="finite"):
+            replace(net, **{layer: bad})
 
     def test_element_delays_follow_own_partition(self, small_scene, small_grid):
         net = dldd_design(small_scene, small_grid).delay_network

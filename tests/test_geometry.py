@@ -245,6 +245,14 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             FrequencyGrid(f_c=1e9, bandwidth=1e9, m_count=0)
 
+    @pytest.mark.parametrize(
+        "f_c, bandwidth, m_count",
+        [(math.nan, 1e9, 4), (3e11, math.nan, 4), (math.inf, 1e9, 4), (3e11, math.inf, 1)],
+    )
+    def test_non_finite_rejected(self, f_c, bandwidth, m_count):
+        with pytest.raises(ValueError, match="must be positive"):
+            FrequencyGrid(f_c=f_c, bandwidth=bandwidth, m_count=m_count)
+
     @pytest.mark.parametrize("f_c, bandwidth, m_count", [(10e9, 30e9, 128), (1e9, 4e9, 2)])
     def test_nonpositive_lowest_subcarrier_rejected(self, f_c, bandwidth, m_count):
         # the second grid puts its lowest subcarrier exactly at 0 Hz

@@ -148,6 +148,13 @@ class TestEvaluationPlane:
         with pytest.raises(ValueError):
             EvaluationPlane(x_min=-1, x_max=1, y_min=0, y_max=1, z=0, n_x=5, n_y=5)
 
+    @pytest.mark.parametrize("field", ["x_min", "x_max", "y_min", "y_max", "z"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, field, value):
+        extents = dict(x_min=0.5, x_max=1.0, y_min=0.0, y_max=1.0, z=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            EvaluationPlane(**{**extents, field: value}, n_x=2, n_y=2)
+
     def test_single_point_plane_allowed(self):
         plane = EvaluationPlane(x_min=2, x_max=2, y_min=-1, y_max=-1, z=0, n_x=1, n_y=1)
         assert plane.x_coords().tolist() == [2.0]
@@ -251,6 +258,13 @@ class TestAchievableRate:
             achievable_rate(small_scene, small_grid, config, 0.0, 1e-20)
         with pytest.raises(ValueError):
             achievable_rate(small_scene, small_grid, config, 1.0, 0.0)
+
+    @pytest.mark.parametrize("p_bs, noise", [(np.nan, 1e-20), (np.inf, 1e-20),
+                                             (1.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_power_or_noise_rejected(self, small_scene, small_grid, p_bs, noise):
+        config = narrowband_design(small_scene, small_grid)
+        with pytest.raises(ValueError, match="must be positive"):
+            achievable_rate(small_scene, small_grid, config, p_bs, noise)
 
 
 class TestClampedGain:
