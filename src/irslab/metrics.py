@@ -318,6 +318,11 @@ def multi_beam_pattern(
     size, the worker count or the BLAS build.
     """
     freqs = np.asarray(list(frequencies), dtype=float)
+    if freqs.size == 0:
+        raise ValueError("beam pattern needs at least one frequency, got []")
+    for f in freqs.tolist():
+        if not (np.isfinite(f) and f > 0):  # README: every frequency is positive
+            raise ValueError(f"frequency {f!r} Hz must be finite and above 0 Hz")
     ks = 2 * np.pi * freqs / grid.c
     pos = element_positions(scene.layout)
     el_y = pos[:, 1]

@@ -166,6 +166,21 @@ class TestBeamPattern:
         with pytest.raises(ValueError):
             BeamPattern(plane, np.array([3e11]), np.array([[[0.5, np.nan]]]), peaks=())
 
+    @pytest.mark.parametrize(
+        "freqs, named",
+        [([0.0], "0.0"), ([-3e11], "-300000000000.0"), ([3e11, np.nan], "nan"),
+         ([np.inf], "inf"), ([], r"\[\]")],
+        ids=["zero", "negative", "nan", "inf", "empty"],
+    )
+    def test_non_physical_frequencies_rejected(self, small_scene, small_grid, freqs, named):
+        config = narrowband_design(small_scene, small_grid)
+        plane = EvaluationPlane(x_min=1, x_max=2, y_min=0, y_max=1, z=0, n_x=2, n_y=2)
+        for run in (lambda: beam_pattern(small_scene, small_grid, config, freqs, plane),
+                    lambda: multi_beam_pattern(small_scene, small_grid, {"nb": config},
+                                               freqs, plane)):
+            with pytest.raises(ValueError, match=named):
+                run()
+
     def test_value_at_user_matches_gain_profile(self, small_scene, small_grid):
         config = narrowband_design(small_scene, small_grid)
         user = small_scene.user
