@@ -22,11 +22,15 @@ class DegenerateGeometryError(ValueError):
 
 
 class PanelPlaneWarning(UserWarning):
-    """An endpoint lies exactly in the panel plane (x = 0).
+    """An endpoint ('bs' or 'user') lies exactly in the panel plane (x = 0).
 
     The channel formulas stay well defined; grazing placement is accepted
     but flagged because it is usually unintended.
     """
+
+    def __init__(self, message: str, endpoint: str):
+        super().__init__(message)
+        self.endpoint = endpoint
 
 
 @dataclass(frozen=True)
@@ -156,12 +160,14 @@ class Scene:
                 f"partition {self.partition.k_y}x{self.partition.k_z} (s={self.partition.s}) "
                 f"does not tile the {self.layout.n_y}x{self.layout.n_z} layout"
             )
-        for name, p in (("BS", self.bs), ("user", self.user)):
-            if p.x == 0.0:
+        for name, which in (("BS", "bs"), ("user", "user")):
+            if self.endpoint(which).x == 0.0:
                 warnings.warn(
-                    f"{name} lies exactly in the panel plane (x = 0); "
-                    "formulas remain defined but placement is grazing",
-                    PanelPlaneWarning,
+                    PanelPlaneWarning(
+                        f"{name} lies exactly in the panel plane (x = 0); "
+                        "formulas remain defined but placement is grazing",
+                        which,
+                    ),
                     stacklevel=3,  # past the dataclass-generated __init__, to its caller
                 )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -19,6 +20,7 @@ from .geometry import (
     SPEED_OF_LIGHT,
     FrequencyGrid,
     IrsLayout,
+    PanelPlaneWarning,
     Point3,
     Scene,
     SubsurfacePartition,
@@ -128,16 +130,21 @@ def _digest(values: dict) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _resolve(values: dict) -> Scenario:
-    """Build and validate every domain object of `values` once."""
+def _resolve(values: dict, source: str) -> Scenario:
+    """Build and validate every domain object of `values` once.
+
+    The scene's PanelPlaneWarning is re-emitted naming `source` and the key.
+    """
     v = values
     f_c = v["grid.f_c_ghz"] * 1e9
     d = SPEED_OF_LIGHT / f_c / 2.0 if v["irs.d_m"] == HALF_WAVELENGTH else v["irs.d_m"]
     try:
         layout = IrsLayout(v["irs.n_y"], v["irs.n_z"], d)
         partition = SubsurfacePartition.for_layout(layout, v["partition.k_y"], v["partition.k_z"])
-        scene = Scene(Point3(v["bs.x_m"], v["bs.y_m"], v["bs.z_m"]),
-                      Point3(v["user.x_m"], v["user.y_m"], v["user.z_m"]), layout, partition)
+        with warnings.catch_warnings(record=True) as placed:
+            warnings.simplefilter("always", PanelPlaneWarning)
+            scene = Scene(Point3(v["bs.x_m"], v["bs.y_m"], v["bs.z_m"]),
+                          Point3(v["user.x_m"], v["user.y_m"], v["user.z_m"]), layout, partition)
         grid = FrequencyGrid(f_c=f_c, bandwidth=v["grid.bandwidth_ghz"] * 1e9,
                              m_count=v["grid.subcarriers"])
         plane = EvaluationPlane(
@@ -147,6 +154,10 @@ def _resolve(values: dict) -> Scenario:
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
+    for w in placed:
+        which = w.message.endpoint
+        warnings.warn(PanelPlaneWarning(f"{source}: {which}.x_m: {w.message}", which),
+                      stacklevel=3)  # the caller of parse_scenario
     if grid.m_count < 2:
         raise ScenarioError("grid.subcarriers must be >= 2 (edge gains need both edges)")
     sizes = v["sweep.partition_sizes"]
@@ -201,7 +212,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             values[key] = parser(value)
         except ScenarioError as exc:
             raise ScenarioError(f"{source}:{lineno}: {key}: {exc}") from None
-    return _resolve(values)
+    return _resolve(values, source)
 
 
 def load_scenario(path: str | Path | None = None) -> Scenario:

@@ -456,6 +456,11 @@ class TestCli:
             assert main([command, "--scenario", str(scn), "--out", str(tmp_path / "x.csv")]) == 0
         assert [w.category for w in caught].count(PanelPlaneWarning) == 1
 
+    def test_panel_plane_warning_names_the_file_and_key(self, tmp_path):
+        scn = Path(__file__).resolve().parent.parent / "scenarios" / "default.scn"
+        with pytest.warns(PanelPlaneWarning, match=f"^{re.escape(str(scn))}: bs.x_m: BS lies"):
+            assert main(["gain-profile", "--scenario", str(scn), "--out", str(tmp_path / "x.csv")]) == 0
+
     @pytest.mark.parametrize("command", ["gain-profile", "export-config"])
     def test_unwritable_out_exits_nonzero(self, scenario_file, tmp_path, capsys, command):
         out = tmp_path / "missing" / "dir" / "x.csv"

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from irslab.geometry import SPEED_OF_LIGHT
+from irslab.geometry import SPEED_OF_LIGHT, PanelPlaneWarning
 from irslab.scenario import (
     Scenario,
     ScenarioError,
@@ -119,6 +119,24 @@ class TestValidation:
         # 10**((dbm - 30)/10) rounds to 0.0 below ~-3206 dBm
         with pytest.raises(ScenarioError, match=f"{line.split()[0]}: -4000 dBm is too small"):
             parse_scenario(line + "\n")
+
+
+class TestPanelPlaneWarning:
+    @pytest.mark.parametrize("text, keys", [
+        ("bs.x_m = 0", ["bs.x_m"]),
+        ("bs.x_m = 1\nuser.x_m = 0", ["user.x_m"]),
+        ("user.x_m = 0", ["bs.x_m", "user.x_m"]),
+    ])
+    def test_names_the_source_and_the_key(self, text, keys):
+        with pytest.warns(PanelPlaneWarning) as caught:
+            parse_scenario(text, source="grazing.scn")
+        assert [str(w.message).split(": ")[:2] for w in caught] == [["grazing.scn", k] for k in keys]
+        assert [w.message.endpoint for w in caught] == [k.split(".")[0] for k in keys]
+
+    def test_points_at_the_caller(self):
+        with pytest.warns(PanelPlaneWarning) as caught:
+            parse_scenario("", source="<defaults>")
+        assert [w.filename for w in caught] == [__file__]
 
 
 class TestResolvedObjects:
