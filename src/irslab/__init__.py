@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 from .geometry import (  # noqa: F401
     SPEED_OF_LIGHT,
     DegenerateGeometryError,
+    EvaluationPlane,
     FrequencyGrid,
     IrsLayout,
     PanelPlaneWarning,
@@ -43,7 +44,6 @@ from .beamforming import (  # noqa: F401
 )
 from .metrics import (  # noqa: F401
     BeamPattern,
-    EvaluationPlane,
     GainProfile,
     RateResult,
     achievable_rate,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .beamforming import BeamformerConfig
 from .channel import element_distances
-from .geometry import SPEED_OF_LIGHT, FrequencyGrid, Scene, element_positions
+from .geometry import SPEED_OF_LIGHT, EvaluationPlane, FrequencyGrid, Scene, element_positions
 
 GAIN_TOL = 1e-9
 # bytes of beam-pattern temporaries that all worker threads together may hold: the
@@ -60,39 +60,6 @@ class GainProfile:
         if self.frequencies.shape != self.gains.shape:
             raise ValueError("frequency and gain arrays must align")
         _check_gains(self.gains)
-
-
-@dataclass(frozen=True)
-class EvaluationPlane:
-    """Axis-aligned horizontal rectangle (fixed z) sampled on a regular grid."""
-
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    z: float
-    n_x: int
-    n_y: int
-
-    def __post_init__(self) -> None:
-        if self.n_x < 1 or self.n_y < 1:
-            raise ValueError("plane resolution must be >= 1 point per axis")
-        if not np.all(np.isfinite([self.x_min, self.x_max, self.y_min, self.y_max, self.z])):
-            raise ValueError("plane extents and height must be finite")
-        if self.x_min > self.x_max or self.y_min > self.y_max:
-            raise ValueError("plane extents must be ordered")
-        if (self.n_x > 1 and self.x_min == self.x_max) or (
-            self.n_y > 1 and self.y_min == self.y_max
-        ):
-            raise ValueError("degenerate plane: zero extent with multiple points")
-        if self.x_min <= 0.0 <= self.x_max:
-            raise ValueError("plane must not cross the panel plane x = 0")
-
-    def x_coords(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_x)
-
-    def y_coords(self) -> np.ndarray:
-        return np.linspace(self.y_min, self.y_max, self.n_y)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from typing import Iterable
 
 from .geometry import (
     SPEED_OF_LIGHT,
+    EvaluationPlane,
     FrequencyGrid,
     IrsLayout,
     PanelPlaneWarning,
@@ -25,7 +26,6 @@ from .geometry import (
     Scene,
     SubsurfacePartition,
 )
-from .metrics import EvaluationPlane
 
 HALF_WAVELENGTH = "half-wavelength"
 
