@@ -131,10 +131,7 @@ def _digest(values: dict) -> str:
 
 
 def _resolve(values: dict, source: str) -> Scenario:
-    """Build and validate every domain object of `values` once.
-
-    The scene's PanelPlaneWarning is re-emitted naming `source` and the key.
-    """
+    """Build and validate every domain object of `values`, read from `source`, once."""
     v = values
     f_c = v["grid.f_c_ghz"] * 1e9
     d = SPEED_OF_LIGHT / f_c / 2.0 if v["irs.d_m"] == HALF_WAVELENGTH else v["irs.d_m"]
@@ -154,7 +151,7 @@ def _resolve(values: dict, source: str) -> Scenario:
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
-    for w in placed:
+    for w in placed:  # the scene's warning, naming the file and the key
         which = w.message.endpoint
         warnings.warn(PanelPlaneWarning(f"{source}: {which}.x_m: {w.message}", which),
                       stacklevel=3)  # the caller of parse_scenario
