@@ -160,8 +160,8 @@ class Scene:
                 f"partition {self.partition.k_y}x{self.partition.k_z} (s={self.partition.s}) "
                 f"does not tile the {self.layout.n_y}x{self.layout.n_z} layout"
             )
-        for name, which in (("BS", "bs"), ("user", "user")):
-            if self.endpoint(which).x == 0.0:
+        for name, which, p in (("BS", "bs", self.bs), ("user", "user", self.user)):
+            if p.x == 0.0:
                 warnings.warn(
                     PanelPlaneWarning(
                         f"{name} lies exactly in the panel plane (x = 0); "
