@@ -9,7 +9,6 @@ output path, and 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -18,6 +17,7 @@ from .experiments import (
     DESIGN_NAMES,
     FREQUENCY_TOKENS,
     ResultTable,
+    _write_json,
     export_config,
     run_beam_pattern,
     run_delay_range_sweep,
@@ -105,7 +105,7 @@ def _write(result, out: Optional[str], fmt: str) -> Path:
         path = Path(out or "beamformer-config.json")
 
         def write(fh):
-            json.dump(result, fh, indent=2)
+            _write_json(result, fh)
             fh.write("\n")
 
     with path.open("w", newline="") as fh:

@@ -19,6 +19,7 @@ from irslab.cli import main
 from irslab.experiments import (
     DESIGN_NAMES,
     ResultTable,
+    _write_json,
     export_config,
     run_beam_pattern,
     run_delay_range_sweep,
@@ -594,12 +595,89 @@ class TestWriters:
             base = tracemalloc.get_traced_memory()[0]
             table = run_beam_pattern(big)
             retained = tracemalloc.get_traced_memory()[0] - base
-            tracemalloc.reset_peak()
-            table.to_csv(Sink())
-            added = tracemalloc.get_traced_memory()[1] - base - retained
+            added = []
+            for write in (table.to_csv, table.to_json):
+                tracemalloc.reset_peak()
+                write(Sink())
+                added.append(tracemalloc.get_traced_memory()[1] - base - retained)
         finally:
             tracemalloc.stop()
         column_bytes = 4 * 3 * 401 * 401 * 8
         assert sum(table.column(name).nbytes for name in table.columns) == column_bytes
         assert retained <= column_bytes + MIB
-        assert added <= MIB
+        assert max(added) <= MIB
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.sampled_from(["\u00e9\u4e2d\U0001f600", '"quoted" \\ /', "\x00\x1f\t\n\r\x7f\u2028"])
+    | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, float("nan"),
+                       float("inf"), float("-inf")])
+    | st.floats()
+)
+json_keys = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(st.floats(), max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(json_keys, inner, max_size=5)),
+    max_leaves=30,
+)
+
+
+def dumped(obj) -> str:
+    buf = io.StringIO()
+    json.dump(obj, buf, indent=2)
+    return buf.getvalue()
+
+
+def written(obj) -> str:
+    buf = io.StringIO()
+    _write_json(obj, buf)
+    return buf.getvalue()
+
+
+class TestJsonWriter:
+    """`_write_json` writes the bytes of `json.dump(obj, fh, indent=2)`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=json_values)
+    @example(obj={})
+    @example(obj=[[], {}, (), [[]], {"": {}}])
+    @example(obj=[1.0, float("nan"), 2.0])
+    @example(obj={1.5: [True, False, None], -0.0: 1, float("inf"): (5e-324,)})
+    def test_matches_json_dump(self, obj):
+        assert written(obj) == dumped(obj)
+
+    @pytest.mark.parametrize("bad", [{(1, 2): 3}, [np.int64(1)], {"a": {1, 2}}])
+    def test_rejects_what_json_rejects(self, bad):
+        with pytest.raises(TypeError):
+            dumped(bad)
+        with pytest.raises(TypeError):
+            written(bad)
+
+    def test_float_subclasses_write_as_floats(self):
+        obj = {"x": [np.float64(0.1), np.float64(np.nan), 2.0], "y": [np.float64(-0.0)]}
+        assert written(obj) == dumped(obj)
+
+    @pytest.mark.parametrize("name", ["default.scn", "mirrored-y.scn"])
+    def test_bundled_exports_and_tables(self, name):
+        scenario = parse_scenario(_small_plane((SCENARIO_DIR / name).read_text()))
+        for design in DESIGN_NAMES:
+            config = export_config(scenario, design)
+            assert written(config) == dumped(config)
+        tables = [run_gain_profile(scenario), run_rate_sweep(scenario),
+                  run_td_count_sweep(scenario), run_delay_range_sweep(scenario),
+                  run_beam_pattern(scenario)]
+        for table in tables:
+            buf = io.StringIO()
+            table.to_json(buf)
+            assert buf.getvalue() == old_writers(table)[1]
+
+
+def _small_plane(text: str) -> str:
+    """A scenario text with its evaluation plane cut to 5 x 5 points."""
+    kept = [line for line in text.splitlines() if not line.startswith("plane.points_")]
+    return "\n".join(kept + ["plane.points_x = 5", "plane.points_y = 5"]) + "\n"
