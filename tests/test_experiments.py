@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from irslab import __version__, experiments
+from irslab import __version__, cli, experiments
 from irslab.channel import element_distances
 from irslab.cli import main
 from irslab.experiments import (
@@ -486,6 +486,21 @@ class TestCli:
         ])
         assert rc == 0
         assert "# peak:" in out.read_text()
+
+    def test_runs_in_one_process_get_independent_arguments(self, scenario_file, tmp_path,
+                                                          monkeypatch):
+        seen = []
+
+        def record(scenario, designs):
+            seen.append(designs)
+            return run_gain_profile(scenario, designs)
+
+        monkeypatch.setattr(cli, "run_gain_profile", record)
+        for extra in (["--designs", "dldd"], []):
+            argv = ["gain-profile", "--scenario", str(scenario_file), *extra]
+            assert main([*argv, "--out", str(tmp_path / "gp.csv")]) == 0
+        assert [list(d) for d in seen] == [["dldd"], list(DESIGN_NAMES)]
+        assert cli.build_parser() is cli.build_parser()
 
     def test_td_count_sweep_on_non_square_panel_names_the_key(self, tmp_path, capsys):
         # sizes that divide both axes load, but no k x k partition of 100x50 is square
