@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .geometry import (
+    _PLACEMENT_REPORTED,
     SPEED_OF_LIGHT,
     EvaluationPlane,
     FrequencyGrid,
@@ -25,6 +26,7 @@ from .geometry import (
     Point3,
     Scene,
     SubsurfacePartition,
+    panel_plane_warnings,
 )
 
 HALF_WAVELENGTH = "half-wavelength"
@@ -138,10 +140,12 @@ def _resolve(values: dict, source: str) -> Scenario:
     try:
         layout = IrsLayout(v["irs.n_y"], v["irs.n_z"], d)
         partition = SubsurfacePartition.for_layout(layout, v["partition.k_y"], v["partition.k_z"])
-        with warnings.catch_warnings(record=True) as placed:
-            warnings.simplefilter("always", PanelPlaneWarning)
+        reported = _PLACEMENT_REPORTED.set(True)  # warned below, naming the file and key
+        try:
             scene = Scene(Point3(v["bs.x_m"], v["bs.y_m"], v["bs.z_m"]),
                           Point3(v["user.x_m"], v["user.y_m"], v["user.z_m"]), layout, partition)
+        finally:
+            _PLACEMENT_REPORTED.reset(reported)
         grid = FrequencyGrid(f_c=f_c, bandwidth=v["grid.bandwidth_ghz"] * 1e9,
                              m_count=v["grid.subcarriers"])
         plane = EvaluationPlane(
@@ -151,9 +155,8 @@ def _resolve(values: dict, source: str) -> Scenario:
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
-    for w in placed:  # the scene's warning, naming the file and the key
-        which = w.message.endpoint
-        warnings.warn(PanelPlaneWarning(f"{source}: {which}.x_m: {w.message}", which),
+    for w in panel_plane_warnings(scene.bs, scene.user):
+        warnings.warn(PanelPlaneWarning(f"{source}: {w.endpoint}.x_m: {w}", w.endpoint),
                       stacklevel=3)  # the caller of parse_scenario
     if grid.m_count < 2:
         raise ScenarioError("grid.subcarriers must be >= 2 (edge gains need both edges)")

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,13 @@ class TestPanelPlaneWarning:
             parse_scenario(text, source="grazing.scn")
         assert [str(w.message).split(": ")[:2] for w in caught] == [["grazing.scn", k] for k in keys]
         assert [w.message.endpoint for w in caught] == [k.split(".")[0] for k in keys]
+
+    def test_warns_once_per_file_under_the_default_filters(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.resetwarnings()  # Python's default: each warning once per location
+            for _ in range(3):
+                load_scenario(SCENARIOS / "default.scn")
+        assert [w.category for w in caught] == [PanelPlaneWarning]
 
     def test_points_at_the_caller(self):
         with pytest.warns(PanelPlaneWarning) as caught:
