@@ -133,6 +133,8 @@ def normalized_array_gain(
     scene: Scene, grid: FrequencyGrid, config: BeamformerConfig, f: float
 ) -> float:
     """Normalized array gain (1/N)|sum of cascade phasors| at f: a one-subcarrier profile."""
+    if not (np.isfinite(f) and f > 0):  # named here: the grid below would blame its f_c
+        raise ValueError(f"frequency f={f!r} Hz must be finite and above 0 Hz")
     return float(gain_profile(scene, replace(grid, f_c=f, m_count=1), config).gains[0])
 
 

@@ -62,6 +62,12 @@ class TestNormalizedArrayGain:
         )
         assert a == pytest.approx(b, abs=1e-12)
 
+    @pytest.mark.parametrize("f", [0.0, -1e9, float("nan"), float("inf")])
+    def test_rejects_a_non_physical_frequency_by_name(self, small_scene, small_grid, f):
+        config = phase_config(np.zeros(400))
+        with pytest.raises(ValueError, match=rf"^frequency f={f!r} Hz must be finite and above 0"):
+            normalized_array_gain(small_scene, small_grid, config, f)
+
     @given(
         theta=arrays(np.float64, 25, elements=st.floats(0, 6.28)),
         f_rel=st.floats(-0.5, 0.5),
