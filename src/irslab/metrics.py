@@ -3,13 +3,15 @@
 All gains are evaluated against the exact spherical-wave channel regardless of
 which model a beamformer was designed from. Per-subcarrier gains come from
 one cascade kernel (`_cascade_sums`), a matrix product of block-start and offset
-phasor tables, each built by doubling from ~log2 of its length exact exponentials
+phasor tables, each built by doubling from ~log2 of its length exponentials
 (`_powers`). The beam pattern (`multi_beam_pattern`) runs chunks of plane points,
 sized by one byte budget, on a thread per usable CPU, and sums each point over the
-elements with `np.einsum`: no BLAS, so its gains do not depend on the split. Its
-point phasors come from a table-driven exp(j theta) (`_cis`), faster than libm's
-complex exp and within 1e-15 of it; phases beyond its exact range
-(|theta| > 2.06e5 rad, r ~ 31 m at 315 GHz) take libm's exp.
+elements with `np.einsum`: no BLAS, so its gains do not depend on the split. Both
+kernels take their exponentials from a table-driven exp(j theta) (`_cis`), about
+twice as fast as libm's complex exp and within 1e-15 of it. A kernel call whose
+phases may exceed the table's exact range (|theta| > 2.06e5 rad, r ~ 31 m at
+315 GHz) takes libm's exp throughout (`_cis_for`). The beam pattern's
+per-element weights are libm's exp.
 """
 
 from __future__ import annotations
@@ -97,15 +99,20 @@ class RateResult:
     mean_rate: float
 
 
-def _powers(step: np.ndarray, count: int) -> np.ndarray:
+def _powers(step: np.ndarray, count: int, cis: Callable[..., None]) -> np.ndarray:
     """exp(1j*i*step) for i < count, shape (count, *step.shape), by doubling (Knuth, TAOCP
     vol. 2, 4.6.3): out[m:2m] = out[:m] * exp(1j*(m*step)) with m*step exact, so entry i is a
-    product of popcount(i) exact exponentials and no error builds up along the table."""
-    out = np.empty((count, *np.shape(step)), dtype=complex)
+    product of popcount(i) exponentials and no error builds up along the table. Each
+    exponential is cis (`_cis` or `_cis_exp`, see `_cis_for`) at every phase m*step."""
+    out = np.empty((count, *step.shape), dtype=complex)
     out[0] = 1.0
+    theta, a, b = np.empty((3, *step.shape))
+    phasor = np.empty(step.shape, dtype=complex)
     m = 1
     while m < count:
-        np.multiply(out[:min(m, count - m)], np.exp(1j * (m * step)), out=out[m:2 * m])
+        np.multiply(step, m, out=theta)
+        cis(theta, phasor, a, b)
+        np.multiply(out[:min(m, count - m)], phasor, out=out[m:2 * m])
         m *= 2
     return out
 
@@ -118,15 +125,22 @@ def _cascade_sums(
 
     delta_n = (r_bs,n - r_user,n)/c + tau_n. Subcarrier i = b*B + k, B = ceil(sqrt(count)), is
     c_n Z_n^b z_n^k, c_n = w_n exp(j*(anchor_n - 2*pi*f0*delta_n)), z_n = exp(-2j*pi*df*delta_n)
-    and Z_n = z_n^B: two `_powers` tables, ~log2(count) exact exp per element (13 at 2048
-    subcarriers), and one matrix product give every sum.
+    and Z_n = z_n^B: two `_powers` tables, ~log2(count) exponentials per element (13 at 2048
+    subcarriers), and one matrix product give every sum. Every exponential of a call is
+    `_cis`, or, if any phase may exceed _CIS_RANGE, libm's exp.
     """
     anchor, tau = config.anchor_and_delays()
     delta = (r_bs - r_user) / SPEED_OF_LIGHT + tau
     block = int(np.ceil(np.sqrt(count)))
-    rows = _powers(-2 * np.pi * block * df * delta, -(-count // block))
-    rows *= weights * np.exp(1j * (anchor - 2 * np.pi * f0 * delta))
-    return (rows @ _powers(-2 * np.pi * df * delta, block).T).ravel()[:count]
+    # a table phase is m*step with m*block < count for the rows and m < block <= count
+    # for the offsets, so no phase exceeds this
+    cis = _cis_for(np.abs(anchor).max() + 2 * np.pi * (f0 + count * df) * np.abs(delta).max())
+    rows = _powers(-2 * np.pi * block * df * delta, -(-count // block), cis)
+    phase = anchor - 2 * np.pi * f0 * delta
+    anchor_phasor = np.empty(phase.shape, dtype=complex)
+    cis(phase, anchor_phasor, np.empty_like(phase), np.empty_like(phase))
+    rows *= weights * anchor_phasor
+    return (rows @ _powers(-2 * np.pi * df * delta, block, cis).T).ravel()[:count]
 
 
 def normalized_array_gain(
@@ -216,6 +230,11 @@ def _cis_exp(theta: np.ndarray, out: np.ndarray, a: np.ndarray, b: np.ndarray) -
     out.real = 0.0
     out.imag = theta
     np.exp(out, out=out)
+
+
+def _cis_for(phase_bound: float) -> Callable[..., None]:
+    """`_cis` for phases all within +-phase_bound <= _CIS_RANGE, else (NaN too) `_cis_exp`."""
+    return _cis if phase_bound <= _CIS_RANGE else _cis_exp
 
 
 def _plane_sums(
@@ -315,7 +334,7 @@ def multi_beam_pattern(
     # distance is convex, so the largest sits at a plane corner and a panel corner
     y_far = max(ys[-1] - el_y.min(), el_y.max() - ys[0])
     r_far = np.sqrt(px2.max() + y_far**2 + dz2.max())
-    cis = _cis if ks.max() * r_far <= _CIS_RANGE else _cis_exp
+    cis = _cis_for(ks.max() * r_far)
     workers = min(_worker_count(), n_pts)
     size = max(1, _PLANE_BYTES // (workers * point_bytes))
     # Each worker takes one contiguous share of the points, chunk by chunk, in

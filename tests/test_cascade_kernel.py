@@ -35,12 +35,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irslab import experiments, metrics
 from irslab.beamforming import SignConsistencyWarning
 from irslab.channel import element_distances
+from irslab.cli import main
 from irslab.experiments import DESIGN_NAMES, _edge_gains, build_design
-from irslab.geometry import FrequencyGrid
+from irslab.geometry import SPEED_OF_LIGHT, FrequencyGrid
 from irslab.metrics import (
+    _CIS_RANGE,
     _cascade_sums,
+    _cis_for,
     _powers,
     cascade_gain_magnitudes,
     gain_profile,
@@ -153,6 +157,91 @@ def test_edge_gains_match_direct_formula(case):
         assert abs(got - want) <= DRIFT_TOL
 
 
+def exp_by(cis, theta):
+    """exp(1j*theta) by `metrics._cis` or `metrics._cis_exp`."""
+    out = np.empty(theta.shape, dtype=complex)
+    cis(theta.copy(), out, np.empty(theta.shape), np.empty(theta.shape))
+    return out
+
+
+def libm_cascade_sums(config, r_bs, r_user, f0, df, count, weights=1.0):
+    """`_cascade_sums` as it was with libm's exp for every doubling step and the anchor
+    phasor, before both came from the table exp: the reference for that change."""
+
+    def powers(step, n):
+        out = np.empty((n, *np.shape(step)), dtype=complex)
+        out[0] = 1.0
+        m = 1
+        while m < n:
+            np.multiply(out[:min(m, n - m)], np.exp(1j * (m * step)), out=out[m:2 * m])
+            m *= 2
+        return out
+
+    anchor, tau = config.anchor_and_delays()
+    delta = (r_bs - r_user) / SPEED_OF_LIGHT + tau
+    block = int(np.ceil(np.sqrt(count)))
+    rows = powers(-2 * np.pi * block * df * delta, -(-count // block))
+    rows *= weights * np.exp(1j * (anchor - 2 * np.pi * f0 * delta))
+    return (rows @ powers(-2 * np.pi * df * delta, block).T).ravel()[:count]
+
+
+def assert_matches_libm_kernel(configs, r_bs, r_user, grid, exact=False):
+    """Both weightings of every config: within DRIFT_TOL of the weight mass, or bit for bit."""
+    f0, df, count = grid.frequencies[0], grid.bandwidth / grid.m_count, grid.m_count
+    for config in configs:
+        for weights in (1.0, 1.0 / (r_bs * r_user)):
+            got = _cascade_sums(config, r_bs, r_user, f0, df, count, weights)
+            want = libm_cascade_sums(config, r_bs, r_user, f0, df, count, weights)
+            if exact:
+                assert got.tobytes() == want.tobytes()
+            else:
+                mass = np.abs(np.broadcast_to(weights, r_bs.shape)).sum()
+                assert np.abs(got - want).max() <= DRIFT_TOL * mass
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cases())
+def test_table_exp_matches_the_libm_kernel(case):
+    scene, grid, r_bs, r_user, configs = scene_designs(*case)
+    assert_matches_libm_kernel(configs, r_bs, r_user, grid)
+
+
+@pytest.mark.parametrize("count", [128, 2048])
+@pytest.mark.parametrize("name", ["default.scn", "mirrored-y.scn"])
+def test_table_exp_matches_the_libm_kernel_on_the_bundled_scenarios(name, count):
+    scenario = parse_scenario((ROOT / "scenarios" / name).read_text())
+    scene, grid = scenario.scene, replace(scenario.grid, m_count=count)
+    configs = [build_design(scenario, design) for design in DESIGN_NAMES]
+    configs += [replace(config, delay_cap=9e-12) for config in configs[1:]]
+    r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
+    assert_matches_libm_kernel(configs, r_bs, r_user, grid)
+
+
+def test_phases_beyond_the_table_range_take_libm_exp(tmp_path, monkeypatch):
+    """A user 40 m out puts phases beyond _CIS_RANGE: the output bytes are the libm kernel's."""
+    text = ("user.x_m = 40.0\nirs.n_y = 20\nirs.n_z = 20\npartition.k_y = 4\npartition.k_z = 4\n"
+            "sweep.partition_sizes = 1,2,4,5\n")
+    scenario = parse_scenario(text)
+    scene, grid = scenario.scene, scenario.grid
+    r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
+    assert 2 * np.pi * grid.frequencies[0] * np.abs(r_bs - r_user).max() / grid.c > _CIS_RANGE
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SignConsistencyWarning)
+        configs = [build_design(scenario, design) for design in DESIGN_NAMES]
+    assert_matches_libm_kernel(configs, r_bs, r_user, grid, exact=True)
+    scn = tmp_path / "far.scn"
+    scn.write_text(text)
+    outputs = []
+    for kernel in (_cascade_sums, libm_cascade_sums):
+        monkeypatch.setattr(metrics, "_cascade_sums", kernel)
+        monkeypatch.setattr(experiments, "_cascade_sums", kernel)
+        for command in ("gain-profile", "rate-sweep", "td-count-sweep", "delay-range-sweep"):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--scenario", str(scn), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+    assert outputs[:4] == outputs[4:]
+
+
 # Every step, and every phase m*step, that the kernel passes to `_powers` is at most
 # 2*pi*(f_M - f_1)*|delta_n|: 1.8e3 rad on the bundled scenarios. The steps are float32
 # values, so i*step is exact in float64 and the reference rounds nothing but its exp.
@@ -165,12 +254,14 @@ STEPS = np.concatenate([
 
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 32, 33, 46, 64, 65, 1024, 1025])
 def test_powers_match_exp_entry_by_entry(count):
-    got = _powers(STEPS, count)
+    # the table exp while every phase m*step is within its range, as `_cascade_sums` picks
+    cis = _cis_for((1 << max((count - 1).bit_length() - 1, 0)) * STEP_MAX)
+    got = _powers(STEPS, count, cis)
     assert got.shape == (count, STEPS.size)
     assert np.array_equal(got[0], np.ones(STEPS.size))
     for k in range((count - 1).bit_length()):
         # a power of two is one exact exp, bit for bit
-        assert np.array_equal(got[2**k], np.exp(1j * (2**k * STEPS)))
+        assert np.array_equal(got[2**k], exp_by(cis, 2**k * STEPS))
     want = np.exp(1j * (np.arange(count)[:, None] * STEPS))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
