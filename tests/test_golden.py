@@ -30,8 +30,8 @@ SWEEP_TOL = 1e-13
 
 GOLDEN_DIGESTS = {
     "default.scn": {
-        "gain-profile": "1367aa081aaa1330ebc6f03e2fd3663e34598190e6fb3d6173c5ffe26c70a00f",
-        "rate-sweep": "4413e9d3c3bd2fd2ba785b47b0eccd5803b70eb16b94b23f92a6648ff4fa87a7",
+        "gain-profile": "5a345b1ebd2439d71c5e54d7d7537ab52541d223d7af7b10ebde7fac88599f1e",
+        "rate-sweep": "7a9cbfac908504b1b455d554e9c7d7d856966f6b122db4634ccc9c2e7fc4dd60",
         "export-config/narrowband": "a8524d65bd26d412269782f05b2956ab3bf5c0976724bf1b2e3e6a319c3828a1",
         "beam-pattern/narrowband": "e7e8b5522da507dc21b0b33adb9f897818ae9b1320543ea5c2ba1d01474b2792",
         "export-config/dldd": "e4b961a4f1babacf952fdffde9bc7b4357f9789715a39f9fa285b2dd7baa2759",
@@ -40,8 +40,8 @@ GOLDEN_DIGESTS = {
         "beam-pattern/per-element": "a86df87c2a04c4cccc8b4c7702559fc501d2b0a00b13df82f2e0f46baef0134c",
     },
     "mirrored-y.scn": {
-        "gain-profile": "51ada761ae42094a48f9d3791b32eb395255afea6506be2bdbf7ea4ffe58cf51",
-        "rate-sweep": "6467d1c7e40441f1624a4e21f64b5019e8b2b77ae34227d7653265380d2a7cf2",
+        "gain-profile": "a29eeff7a5b49563a3084672e9713ead5a5b531b1c65923e542d79235685ca53",
+        "rate-sweep": "b5b91e95de2a1633a32c83b9a77792261ae9e523a37e7dc9f34aa41d39281885",
         "export-config/narrowband": "f34f804356024b2fb68cdb881aca15ba70b69fdc7c99d8d925528f9deb2bf062",
         "beam-pattern/narrowband": "878cc3dab334e1c8cc0814f08ea93c64747ff47b58c32b613a52391950f96b58",
         "export-config/dldd": "b08c381a7af93a0587cf1a0c4792a93b74c3ced7a9c68282d02558b8a071acfe",
@@ -53,15 +53,15 @@ GOLDEN_DIGESTS = {
 
 GOLDEN_JSON_DIGESTS = {
     "default.scn": {
-        "gain-profile": "340770d5156e4d894d87ec1e1ec74ee445c9cb674c50d85fe185b89afdc3afe6",
-        "rate-sweep": "7b6460f30a9a86f730eed70748435a03026763957e4412dcbd0f73d7b12249da",
+        "gain-profile": "8331ba356f3b138ebd24afb3ffffe6b3642c9bd516a7e970f6f5708efd98f642",
+        "rate-sweep": "54e8819d400b388eeaacaba6d67272ccadc81c634a16295d081ecc09101cfb91",
         "beam-pattern/narrowband": "1a001fa086f060debeedc300804edfe4ff14d1f19c3a1026098acfcb432ef7dd",
         "beam-pattern/dldd": "3095fe3887dd678bb26a1bb20f9fe7c5cd31c881b981ab5ec88ac7737f2fe817",
         "beam-pattern/per-element": "396eb5a375ce717bc8adc59f062c6b66a84dae54f637b5f1ee1bf43d7a419ad9",
     },
     "mirrored-y.scn": {
-        "gain-profile": "2bb0b20d9bd330edcc998e59c86425aae7d8a320699a01d91914a3db9ae7c7d3",
-        "rate-sweep": "f8bd44a6d4b180ee3e1eac248eca9cfd42572bf8c6e09e1d86d4b09f32e0f5c2",
+        "gain-profile": "3c50d19272bed086885f83893cfcfde6e3fae876abc7682edf41d4fe9bbb0c60",
+        "rate-sweep": "445304ae8607c4b8f44a3543ae3e0b83c4741ce9ffc0e71cc7aed718ee236b92",
         "beam-pattern/narrowband": "84fad53caee03cf48f8349ab881c172baee38162bc1cc5c4a3f26cbb829f13d0",
         "beam-pattern/dldd": "630b77c6825ccd2d29729b5fd5a02de6b2f88fba7e925924ca56a4e35706048d",
         "beam-pattern/per-element": "5c8ccebe05c764e0baebacd6d68dff17e574b839682968c4ee9e8621f7bd3f0a",
