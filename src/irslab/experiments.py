@@ -117,42 +117,43 @@ def _json_pieces(obj, nl: str) -> Iterator[str]:
     """The `_write_json` text of obj in pieces; nl is a newline plus the current indent."""
     inner = nl + "  "
     if isinstance(obj, dict):
-        sep = "{" + inner
+        sep, comma = "{" + inner, "," + inner
         for key, value in obj.items():
             yield sep + _json_key(key) + ": "
             yield from _json_pieces(value, inner)
-            sep = "," + inner
+            sep = comma
         yield "{}" if sep[0] == "{" else nl + "}"
     elif isinstance(obj, (list, tuple, Iterator)):
-        floats = _json_floats(obj, nl)
+        floats = _json_floats(obj, "," + inner)
         if floats is not None:
-            yield floats
+            yield f"[{inner}{floats}{nl}]"
             return
-        sep = "[" + inner
+        # built once here: a table streams ~10^5 rows through this loop
+        sep, comma, deeper = "[" + inner, "," + inner, inner + "  "
+        float_sep = "," + deeper
         for item in obj:
-            floats = _json_floats(item, inner)  # a table row needs no generator of its own
+            floats = _json_floats(item, float_sep)  # a float row needs no generator of its own
             if floats is None:
                 yield sep
                 yield from _json_pieces(item, inner)
             else:
-                yield sep + floats
-            sep = "," + inner
+                yield f"{sep}[{deeper}{floats}{inner}]"
+            sep = comma
         yield "[]" if sep[0] == "[" else nl + "]"
     else:
         yield _json_scalar(obj)
 
 
-def _json_floats(items, nl: str) -> str | None:
-    """items as `_json_pieces` writes them if they are a non-empty list or tuple of
-    finite floats, else None."""
+def _json_floats(items, sep: str) -> str | None:
+    """The reprs of items joined by sep if items is a non-empty list or tuple of finite
+    floats, else None."""
     if not (isinstance(items, (list, tuple)) and items):
         return None
     try:
-        text = f",{nl}  ".join(map(float.__repr__, items))
+        text = sep.join(map(float.__repr__, items))
     except TypeError:  # an item that is not a float
         return None
-    # json writes nan and inf as NaN and Infinity
-    return None if "n" in text else f"[{nl}  {text}{nl}]"
+    return None if "n" in text else text  # json writes nan and inf as NaN and Infinity
 
 
 def _json_scalar(value) -> str:
