@@ -7,6 +7,7 @@ the scenario hash and the package version.
 
 from __future__ import annotations
 
+import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -141,7 +142,7 @@ def _json_pieces(obj, nl: str) -> Iterator[str]:
             sep = comma
         yield "[]" if sep[0] == "[" else nl + "]"
     else:
-        yield _json_scalar(obj)
+        yield json.dumps(obj)  # a scalar: no indent to write
 
 
 def _json_floats(items, sep: str) -> str | None:
@@ -156,30 +157,10 @@ def _json_floats(items, sep: str) -> str | None:
     return None if "n" in text else text  # json writes nan and inf as NaN and Infinity
 
 
-def _json_scalar(value) -> str:
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if math.isnan(value) else "Infinity" if value > 0 else "-Infinity"
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
 def _json_key(key) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, (int, float)) or key is None:
-        return encode_basestring_ascii(_json_scalar(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    if not (isinstance(key, (str, int, float)) or key is None):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key))
 
 
 def _column_name(design: str) -> str:

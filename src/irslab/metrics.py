@@ -106,14 +106,17 @@ def _powers(step: np.ndarray, count: int, cis: Callable[..., None]) -> np.ndarra
     exponential is cis (`_cis` or `_cis_exp`, see `_cis_for`) at every phase m*step."""
     out = np.empty((count, *step.shape), dtype=complex)
     out[0] = 1.0
-    theta, a, b = np.empty((3, *step.shape))
-    phasor = np.empty(step.shape, dtype=complex)
     m = 1
     while m < count:
-        np.multiply(step, m, out=theta)
-        cis(theta, phasor, a, b)
-        np.multiply(out[:min(m, count - m)], phasor, out=out[m:2 * m])
+        np.multiply(out[:min(m, count - m)], _exp_j(m * step, cis), out=out[m:2 * m])
         m *= 2
+    return out
+
+
+def _exp_j(theta: np.ndarray, cis: Callable[..., None]) -> np.ndarray:
+    """exp(1j*theta) by cis (`_cis` or `_cis_exp`); theta is overwritten."""
+    out = np.empty(theta.shape, dtype=complex)
+    cis(theta, out, np.empty_like(theta), np.empty_like(theta))
     return out
 
 
@@ -136,10 +139,7 @@ def _cascade_sums(
     # for the offsets, so no phase exceeds this
     cis = _cis_for(np.abs(anchor).max() + 2 * np.pi * (f0 + count * df) * np.abs(delta).max())
     rows = _powers(-2 * np.pi * block * df * delta, -(-count // block), cis)
-    phase = anchor - 2 * np.pi * f0 * delta
-    anchor_phasor = np.empty(phase.shape, dtype=complex)
-    cis(phase, anchor_phasor, np.empty_like(phase), np.empty_like(phase))
-    rows *= weights * anchor_phasor
+    rows *= weights * _exp_j(anchor - 2 * np.pi * f0 * delta, cis)
     return (rows @ _powers(-2 * np.pi * df * delta, block, cis).T).ravel()[:count]
 
 
