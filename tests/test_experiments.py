@@ -654,6 +654,12 @@ def written(obj) -> str:
     return buf.getvalue()
 
 
+def _small_plane(text: str) -> str:
+    """A scenario text with its evaluation plane cut to 5 x 5 points."""
+    kept = [line for line in text.splitlines() if not line.startswith("plane.points_")]
+    return "\n".join(kept + ["plane.points_x = 5", "plane.points_y = 5"]) + "\n"
+
+
 class TestJsonWriter:
     """`_write_json` writes the bytes of `json.dump(obj, fh, indent=2)`."""
 
@@ -690,9 +696,3 @@ class TestJsonWriter:
             buf = io.StringIO()
             table.to_json(buf)
             assert buf.getvalue() == old_writers(table)[1]
-
-
-def _small_plane(text: str) -> str:
-    """A scenario text with its evaluation plane cut to 5 x 5 points."""
-    kept = [line for line in text.splitlines() if not line.startswith("plane.points_")]
-    return "\n".join(kept + ["plane.points_x = 5", "plane.points_y = 5"]) + "\n"
