@@ -19,8 +19,6 @@ from .geometry import (
     FrequencyGrid,
     Scene,
     SubsurfacePartition,
-    distances_to,
-    element_positions,
     subsurface_centers,
 )
 
@@ -50,8 +48,9 @@ class CascadedDecomposition:
 
 
 def element_distances(scene: Scene, endpoint: str) -> np.ndarray:
-    """Exact element-to-endpoint distances, shape (N,), row-major order."""
-    r = distances_to(scene.endpoint(endpoint), element_positions(scene.layout))
+    """Exact element-to-endpoint distances, shape (N,), row-major order: the scene's own."""
+    scene.endpoint(endpoint)  # rejects an unknown endpoint name with ValueError
+    r = scene.element_distances[endpoint]
     if np.any(r == 0.0):
         raise DegenerateGeometryError(f"{endpoint} coincides with a panel element")
     return r

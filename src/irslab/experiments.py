@@ -25,7 +25,7 @@ from .beamforming import (
     td_module_count,
 )
 from .channel import element_distances
-from .geometry import FrequencyGrid, SubsurfacePartition
+from .geometry import FrequencyGrid, Scene, SubsurfacePartition
 from .metrics import (
     _cascade_sums,
     beam_pattern,
@@ -243,11 +243,10 @@ def run_beam_pattern(
     return ResultTable("beam-pattern", scenario.digest, data, comments)
 
 
-def _edge_gains(
-    config: BeamformerConfig, grid: FrequencyGrid, r_bs: np.ndarray, r_user: np.ndarray
-) -> float:
-    """Smaller of the two edge-subcarrier normalized gains, given both element distances."""
+def _edge_gains(config: BeamformerConfig, scene: Scene, grid: FrequencyGrid) -> float:
+    """Smaller of the two edge-subcarrier normalized gains."""
     f1, f_m = grid.frequencies[[0, -1]]
+    r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
     sums = _cascade_sums(config, r_bs, r_user, f1, f_m - f1, 2)
     return min(float(np.abs(sums).min()) / r_bs.size, 1.0)
 
@@ -261,12 +260,11 @@ def run_td_count_sweep(scenario: Scenario) -> ResultTable:
             f"so it needs a square panel (irs.n_y == irs.n_z), not "
             f"{scene.layout.n_y}x{scene.layout.n_z}"
         )
-    r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
     parts = [SubsurfacePartition.for_layout(scene.layout, k, k) for k in scenario.partition_sizes]
     data = {
         "k_t": np.array([td_module_count(part) for part in parts]),
         "edge_gain": np.array(
-            [_edge_gains(dldd_design(scene, grid, part), grid, r_bs, r_user) for part in parts]
+            [_edge_gains(dldd_design(scene, grid, part), scene, grid) for part in parts]
         ),
     }
     return ResultTable("td-count-sweep", scenario.digest, data)
@@ -274,13 +272,11 @@ def run_td_count_sweep(scenario: Scenario) -> ResultTable:
 
 def run_delay_range_sweep(scenario: Scenario) -> ResultTable:
     """Edge gain of DLDD and the per-element benchmark under a module-delay cap."""
-    scene, grid = scenario.scene, scenario.grid
-    r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
     data = {"t_req_ps": np.array(scenario.t_req_seconds) * 1e12}
     for name in ("dldd", "per-element"):
         design = build_design(scenario, name)
         data[f"edge_gain_{_column_name(name)}"] = np.array([
-            _edge_gains(replace(design, delay_cap=t), grid, r_bs, r_user)
+            _edge_gains(replace(design, delay_cap=t), scenario.scene, scenario.grid)
             for t in scenario.t_req_seconds
         ])
     return ResultTable("delay-range-sweep", scenario.digest, data)

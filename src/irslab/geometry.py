@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextvars
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -186,6 +187,15 @@ class Scene:
             return self.user
         raise ValueError(f"endpoint must be 'bs' or 'user', got {which!r}")
 
+    @cached_property
+    def element_distances(self) -> dict[str, np.ndarray]:
+        """Exact distances from every element to 'bs' and to 'user', each shape (N,) in
+        row-major order; computed once, on first use, and read-only."""
+        ends = np.stack([self.bs.as_array(), self.user.as_array()])[:, None, :]
+        r = np.linalg.norm(element_positions(self.layout) - ends, axis=-1)
+        r.flags.writeable = False
+        return {"bs": r[0], "user": r[1]}
+
 
 @dataclass(frozen=True)
 class EvaluationPlane:
@@ -313,8 +323,3 @@ def subsurface_centers(layout: IrsLayout, partition: SubsurfacePartition) -> np.
     cz = (np.arange(partition.k_z) - (partition.k_z - 1) / 2) * step
     yy, zz = np.meshgrid(cy, cz, indexing="ij")
     return np.stack([np.zeros_like(yy), yy, zz], axis=-1)
-
-
-def distances_to(point: Point3, positions: np.ndarray) -> np.ndarray:
-    """Distances from `point` to each row/entry of a (..., 3) position array."""
-    return np.linalg.norm(positions - point.as_array(), axis=-1)

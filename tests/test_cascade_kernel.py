@@ -153,7 +153,7 @@ def test_edge_gains_match_direct_formula(case):
     edges = grid.frequencies[[0, -1]]
     for config in configs:
         want = direct_gains(config, r_bs, r_user, grid.c, edges).min()
-        got = _edge_gains(config, grid, r_bs, r_user)
+        got = _edge_gains(config, scene, grid)
         assert abs(got - want) <= DRIFT_TOL
 
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from irslab import __version__, cli, experiments
+from irslab import __version__, channel, cli, experiments, geometry
 from irslab.channel import element_distances
 from irslab.cli import main
 from irslab.experiments import (
@@ -27,7 +27,12 @@ from irslab.experiments import (
     run_rate_sweep,
     run_td_count_sweep,
 )
-from irslab.geometry import PanelPlaneWarning
+from irslab.geometry import (
+    DegenerateGeometryError,
+    PanelPlaneWarning,
+    element_position,
+    element_positions,
+)
 from irslab.scenario import ScenarioError, parse_scenario
 
 SMALL = """
@@ -184,18 +189,53 @@ class TestDelayRangeSweep:
         assert table.rows[-1][2] == pytest.approx(1.0, abs=1e-9)
 
 
-class TestSweepDistances:
-    @pytest.mark.parametrize("run", [run_td_count_sweep, run_delay_range_sweep])
-    def test_computed_once_per_endpoint(self, small_scenario, monkeypatch, run):
-        calls = []
+class TestSceneDistances:
+    def test_each_endpoint_computed_once(self, monkeypatch):
+        """Every runner and design on one Scenario reads its scene's distances.
 
-        def counting(scene, endpoint):
-            calls.append(endpoint)
-            return element_distances(scene, endpoint)
+        Both endpoints' element distances are built from one element-position table;
+        counting those tables counts the distance computations.
+        """
+        scenario = parse_scenario(SMALL)  # not the shared fixture: no runner has used it yet
+        tables = []
 
-        monkeypatch.setattr(experiments, "element_distances", counting)
-        run(small_scenario)
-        assert sorted(calls) == ["bs", "user"]
+        def counting(layout):
+            tables.append(layout)
+            return element_positions(layout)
+
+        for module in (geometry, channel):  # channel too, should it import the helper again
+            monkeypatch.setattr(module, "element_positions", counting, raising=False)
+        run_gain_profile(scenario)
+        run_rate_sweep(scenario)
+        run_td_count_sweep(scenario)
+        run_delay_range_sweep(scenario)
+        for name in DESIGN_NAMES:
+            run_beam_pattern(scenario, design=name)
+            export_config(scenario, name)
+        assert len(tables) == 1
+
+    @pytest.mark.parametrize("endpoint", ["bs", "user"])
+    def test_distances_are_read_only(self, small_scenario, endpoint):
+        r = element_distances(small_scenario.scene, endpoint)
+        before = r.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            r[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            r *= 2.0
+        np.testing.assert_array_equal(element_distances(small_scenario.scene, endpoint), before)
+
+    @pytest.mark.filterwarnings("ignore::irslab.beamforming.SignConsistencyWarning")
+    def test_degenerate_check_is_per_endpoint(self):
+        """A user on a panel element fails only what needs the user's distances."""
+        layout = parse_scenario(SMALL).scene.layout
+        p = element_position(layout, 1, 1)
+        scenario = parse_scenario(SMALL.replace("user.x_m = 2.0", f"user.x_m = {p.x!r}")
+                                  .replace("user.y_m = -1.5", f"user.y_m = {p.y!r}")
+                                  .replace("user.z_m = -0.9", f"user.z_m = {p.z!r}"))
+        table = run_beam_pattern(scenario, design="dldd")  # BS distances only
+        assert np.all(np.isfinite(table.column("gain")))
+        with pytest.raises(DegenerateGeometryError, match="user coincides"):
+            run_gain_profile(scenario, designs=("dldd",))
 
 
 class TestRateSweep:
@@ -595,14 +635,15 @@ class TestWriters:
         assert EDGE_TABLE.column("f")[1] == -0.0 and np.signbit(EDGE_TABLE.column("f")[1])
 
     def test_large_beam_pattern_holds_only_its_columns(self, small_scenario):
-        """A 401x401 plane table keeps its column bytes, and writing it adds a bounded block."""
+        """A 101x101 plane table (30,603 rows, ~7.5 writer blocks) keeps its column bytes,
+        and writing it adds a bounded block."""
 
         class Sink:
             def write(self, text: str) -> int:
                 return len(text)
 
-        big = parse_scenario(SMALL.replace("points_x = 11", "points_x = 401")
-                             .replace("points_y = 11", "points_y = 401"))
+        big = parse_scenario(SMALL.replace("points_x = 11", "points_x = 101")
+                             .replace("points_y = 11", "points_y = 101"))
         run_beam_pattern(small_scenario)  # builds the kernel's cached tables outside the trace
         gc.collect()
         tracemalloc.start()
@@ -617,7 +658,7 @@ class TestWriters:
                 added.append(tracemalloc.get_traced_memory()[1] - base - retained)
         finally:
             tracemalloc.stop()
-        column_bytes = 4 * 3 * 401 * 401 * 8
+        column_bytes = 4 * 3 * 101 * 101 * 8
         assert sum(table.column(name).nbytes for name in table.columns) == column_bytes
         assert retained <= column_bytes + MIB
         assert max(added) <= MIB
