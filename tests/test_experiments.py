@@ -189,22 +189,34 @@ class TestDelayRangeSweep:
         assert table.rows[-1][2] == pytest.approx(1.0, abs=1e-9)
 
 
-class TestSceneDistances:
-    def test_each_endpoint_computed_once(self, monkeypatch):
-        """Every runner and design on one Scenario reads its scene's distances.
+@pytest.fixture
+def position_tables(monkeypatch):
+    """Records every element-position table built; both endpoints' element distances
+    come from one such table, so counting tables counts the distance computations."""
+    tables = []
 
-        Both endpoints' element distances are built from one element-position table;
-        counting those tables counts the distance computations.
-        """
+    def counting(layout):
+        tables.append(layout)
+        return element_positions(layout)
+
+    for module in (geometry, channel):  # channel too, should it import the helper again
+        monkeypatch.setattr(module, "element_positions", counting, raising=False)
+    return tables
+
+
+class TestSweepDistances:
+    @pytest.mark.parametrize("run", [run_td_count_sweep, run_delay_range_sweep])
+    def test_computed_once_per_endpoint(self, position_tables, run):
         scenario = parse_scenario(SMALL)  # not the shared fixture: no runner has used it yet
-        tables = []
+        run(scenario)
+        assert len(position_tables) == 1
+        assert sorted(scenario.scene.element_distances) == ["bs", "user"]
 
-        def counting(layout):
-            tables.append(layout)
-            return element_positions(layout)
 
-        for module in (geometry, channel):  # channel too, should it import the helper again
-            monkeypatch.setattr(module, "element_positions", counting, raising=False)
+class TestSceneDistances:
+    def test_each_endpoint_computed_once(self, position_tables):
+        """Every runner and design on one Scenario reads its scene's distances."""
+        scenario = parse_scenario(SMALL)  # not the shared fixture: no runner has used it yet
         run_gain_profile(scenario)
         run_rate_sweep(scenario)
         run_td_count_sweep(scenario)
@@ -212,7 +224,7 @@ class TestSceneDistances:
         for name in DESIGN_NAMES:
             run_beam_pattern(scenario, design=name)
             export_config(scenario, name)
-        assert len(tables) == 1
+        assert len(position_tables) == 1
 
     @pytest.mark.parametrize("endpoint", ["bs", "user"])
     def test_distances_are_read_only(self, small_scenario, endpoint):
