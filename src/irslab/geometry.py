@@ -7,8 +7,6 @@ row-major in (iy, iz), i.e. the z index varies fastest.
 
 from __future__ import annotations
 
-import contextvars
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -26,27 +24,13 @@ class DegenerateGeometryError(ValueError):
 class PanelPlaneWarning(UserWarning):
     """An endpoint ('bs' or 'user') lies exactly in the panel plane (x = 0).
 
-    The channel formulas stay well defined; grazing placement is accepted
-    but flagged because it is usually unintended.
+    The scenario loader raises it, naming the file and key. The formulas stay
+    defined; grazing placement is accepted but flagged as usually unintended.
     """
 
     def __init__(self, message: str, endpoint: str):
         super().__init__(message)
         self.endpoint = endpoint
-
-
-# True while a caller that warns about the placement itself builds a Scene
-_PLACEMENT_REPORTED = contextvars.ContextVar("placement_reported", default=False)
-
-
-def panel_plane_warnings(bs: Point3, user: Point3) -> list[PanelPlaneWarning]:
-    """A `PanelPlaneWarning` for each endpoint that lies exactly in the panel plane (x = 0)."""
-    return [
-        PanelPlaneWarning(f"{name} lies exactly in the panel plane (x = 0); "
-                          "formulas remain defined but placement is grazing", which)
-        for name, which, p in (("BS", "bs", bs), ("user", "user", user))
-        if p.x == 0.0
-    ]
 
 
 @dataclass(frozen=True)
@@ -176,9 +160,6 @@ class Scene:
                 f"partition {self.partition.k_y}x{self.partition.k_z} (s={self.partition.s}) "
                 f"does not tile the {self.layout.n_y}x{self.layout.n_z} layout"
             )
-        if not _PLACEMENT_REPORTED.get():
-            for w in panel_plane_warnings(self.bs, self.user):
-                warnings.warn(w, stacklevel=3)  # past the dataclass-generated __init__
 
     def endpoint(self, which: str) -> Point3:
         if which == "bs":

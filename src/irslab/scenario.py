@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Iterable
 
 from .geometry import (
-    _PLACEMENT_REPORTED,
     SPEED_OF_LIGHT,
     EvaluationPlane,
     FrequencyGrid,
@@ -26,7 +25,6 @@ from .geometry import (
     Point3,
     Scene,
     SubsurfacePartition,
-    panel_plane_warnings,
 )
 
 HALF_WAVELENGTH = "half-wavelength"
@@ -140,12 +138,8 @@ def _resolve(values: dict, source: str) -> Scenario:
     try:
         layout = IrsLayout(v["irs.n_y"], v["irs.n_z"], d)
         partition = SubsurfacePartition.for_layout(layout, v["partition.k_y"], v["partition.k_z"])
-        reported = _PLACEMENT_REPORTED.set(True)  # warned below, naming the file and key
-        try:
-            scene = Scene(Point3(v["bs.x_m"], v["bs.y_m"], v["bs.z_m"]),
-                          Point3(v["user.x_m"], v["user.y_m"], v["user.z_m"]), layout, partition)
-        finally:
-            _PLACEMENT_REPORTED.reset(reported)
+        scene = Scene(Point3(v["bs.x_m"], v["bs.y_m"], v["bs.z_m"]),
+                      Point3(v["user.x_m"], v["user.y_m"], v["user.z_m"]), layout, partition)
         grid = FrequencyGrid(f_c=f_c, bandwidth=v["grid.bandwidth_ghz"] * 1e9,
                              m_count=v["grid.subcarriers"])
         plane = EvaluationPlane(
@@ -155,9 +149,12 @@ def _resolve(values: dict, source: str) -> Scenario:
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
-    for w in panel_plane_warnings(scene.bs, scene.user):
-        warnings.warn(PanelPlaneWarning(f"{source}: {w.endpoint}.x_m: {w}", w.endpoint),
-                      stacklevel=3)  # the caller of parse_scenario
+    for name, which in (("BS", "bs"), ("user", "user")):
+        if v[f"{which}.x_m"] == 0.0:
+            warnings.warn(PanelPlaneWarning(
+                f"{source}: {which}.x_m: {name} lies exactly in the panel plane (x = 0); "
+                "formulas remain defined but placement is grazing", which),
+                stacklevel=3)  # the caller of parse_scenario
     if grid.m_count < 2:
         raise ScenarioError("grid.subcarriers must be >= 2 (edge gains need both edges)")
     sizes = v["sweep.partition_sizes"]

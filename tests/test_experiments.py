@@ -502,7 +502,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["gain-profile", "rate-sweep", "delay-range-sweep"])
     def test_scenario_resolved_once_per_run(self, tmp_path, command):
-        # default.scn puts the BS at x = 0, which warns each time its scene is built
+        # default.scn puts the BS at x = 0, which warns each time the file is loaded
         scn = Path(__file__).resolve().parent.parent / "scenarios" / "default.scn"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

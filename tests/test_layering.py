@@ -1,5 +1,5 @@
 """The package depends on NumPy and the standard library only, and the scenario
-loader builds on the geometry layer alone."""
+loader builds on the public names of the geometry layer alone."""
 
 import ast
 import sys
@@ -32,3 +32,11 @@ def test_package_imports_numpy_the_stdlib_and_itself_only():
 def test_scenario_imports_only_the_geometry_layer():
     own = [(level, name) for level, name in _imports(SRC / "scenario.py") if level > 0]
     assert own == [(1, "geometry")]
+
+
+def test_scenario_imports_no_private_geometry_name():
+    tree = ast.parse((SRC / "scenario.py").read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "geometry"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
