@@ -154,9 +154,11 @@ class BeamformerConfig:
     delay_cap: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # written so that NaN fails the check
-        if self.delay_cap is not None and not self.delay_cap >= 0:
-            raise ValueError("delay_cap must be a non-negative number of seconds")
+        if not (np.isfinite(self.design_frequency) and self.design_frequency > 0):
+            raise ValueError(f"design_frequency={self.design_frequency!r} Hz must be finite "
+                             "and above 0 Hz")
+        if self.delay_cap is not None and not (np.isfinite(self.delay_cap) and self.delay_cap >= 0):
+            raise ValueError("delay_cap must be a finite, non-negative number of seconds")
         if self.delay_network is not None and self.element_delays().shape != (self.n_elements,):
             raise ValueError("delay network inconsistent with the phase table size")
 

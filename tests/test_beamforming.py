@@ -403,11 +403,25 @@ class TestPhaseShiftConfig:
             PhaseShiftConfig(np.array([0.1, value]))
 
 
+class TestDesignFrequency:
+    @pytest.mark.parametrize("f", [0.0, -3e11, float("nan"), float("inf")])
+    def test_non_physical_design_frequency_rejected(self, small_scene, small_grid, f):
+        config = dldd_design(small_scene, small_grid)
+        with pytest.raises(ValueError, match=r"^design_frequency=.* must be finite and above 0 Hz"):
+            replace(config, design_frequency=f)
+
+
 class TestDelayCap:
     def test_nan_cap_rejected(self, small_scene, small_grid):
         config = dldd_design(small_scene, small_grid)
         with pytest.raises(ValueError, match="delay_cap"):
             replace(config, delay_cap=float("nan"))
+
+    def test_infinite_cap_rejected(self, small_scene, small_grid):
+        # an inf cap would saturate nothing yet pass for a cap
+        config = dldd_design(small_scene, small_grid)
+        with pytest.raises(ValueError, match="delay_cap must be a finite"):
+            replace(config, delay_cap=float("inf"))
 
     def test_cap_saturates_every_module(self, small_scene, small_grid):
         config = dldd_design(small_scene, small_grid)
