@@ -218,8 +218,8 @@ def load_scenario(path: str | Path | None = None) -> Scenario:
         return parse_scenario("", source="<defaults>")
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {p}: {exc}") from None
     return parse_scenario(text, source=str(p))
 

@@ -401,6 +401,12 @@ class TestCli:
         assert rc == 1
         assert "cannot read" in capsys.readouterr().err
 
+    def test_scenario_file_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.scn"
+        bad.write_bytes("# caf\u00e9\n".encode("latin-1"))
+        assert main(["gain-profile", "--scenario", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read scenario file {bad}: ")
+
     def test_bad_design_usage_error(self, scenario_file):
         with pytest.raises(SystemExit) as exc:
             main(["gain-profile", "--scenario", str(scenario_file), "--designs", "bogus"])

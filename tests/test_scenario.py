@@ -104,6 +104,13 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="cannot read"):
             load_scenario(tmp_path / "nope.scn")
 
+    def test_file_that_is_not_utf8_is_named(self, tmp_path):
+        bad = tmp_path / "latin1.scn"
+        bad.write_bytes("# caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(ScenarioError, match=f"^cannot read scenario file {re.escape(str(bad))}: "
+                                                "'utf-8' codec can't decode byte 0xe9"):
+            load_scenario(bad)
+
     def test_non_square_subsurface_rejected(self):
         with pytest.raises(ScenarioError, match="square"):
             parse_scenario("irs.n_z = 50\n")
