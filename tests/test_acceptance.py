@@ -11,16 +11,30 @@ the BS and user straddle the panel's y-axis, which drives the row-to-row
 delta delay to ~25.5 ps and caps the DLDD edge gain at ~0.78. See README.md
 ("Known results on the default scenario") for the analysis; mirroring either
 endpoint across the x-z plane meets every target.
+
+That account holds only under the program's cascade, whose per-element phase
+follows r_bs - r_user. The same DLDD construction on r_bs + r_user (the
+BS-element-user path length) meets the 20 ps bound on the default geometry and
+fails it on the mirrored one; `test_straddle_account_depends_on_the_path_term`
+pins both terms on both bundled scenarios. PAPER.md holds only the paper's
+abstract, so which term the paper's own equations use is not checked here.
+Better phases do not mend criterion 3 either: a max-min search over all DLDD
+phases with the delays fixed returned to the design's 0.7759.
 """
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import irslab
 from irslab.beamforming import (
+    BeamformerConfig,
+    DlddDelayNetwork,
+    PhaseShiftConfig,
+    _wrap_phase,
     dldd_design,
     narrowband_design,
     per_element_td_design,
@@ -29,10 +43,19 @@ from irslab.beamforming import (
     sign_consistency_check,
     td_module_count,
 )
-from irslab.channel import cascaded_decomposition, exact_los_channel, piecewise_channel
+from irslab.channel import (
+    CascadedDecomposition,
+    _first_order_terms,
+    _to_element_order,
+    cascaded_decomposition,
+    element_distances,
+    exact_los_channel,
+    piecewise_channel,
+)
 from irslab.cli import main
-from irslab.geometry import FrequencyGrid, Point3, Scene, SubsurfacePartition
+from irslab.geometry import SPEED_OF_LIGHT, FrequencyGrid, Point3, Scene, SubsurfacePartition
 from irslab.metrics import (
+    _cascade_sums,
     cascade_gain_magnitudes,
     edge_gain,
     gain_profile,
@@ -40,7 +63,7 @@ from irslab.metrics import (
     normalized_array_gain,
     rates_from_gain,
 )
-from irslab.scenario import default_scenario
+from irslab.scenario import default_scenario, load_scenario
 
 from conftest import wrapped_phase_diff
 
@@ -295,3 +318,52 @@ def test_acceptance_environment_sanity(env):
     assert math.isclose(
         irslab.fraunhofer_distance(scene.layout, grid.lambda_c), 9.794, abs_tol=5e-3
     )
+
+# (scenario, sign of r_user in the path term): dedicated-delay span (ps), largest module
+# delay (ps), reduction, DLDD edge gain, edge gain at a 9 ps cap, monotone over 0..20 ps;
+# each figure to 4 significant figures
+STRADDLE_ROWS = {
+    ("default", -1): ("9402", "25.56", "367.8", "0.7759", "0.1102", False),
+    ("default", +1): ("2.351e+04", "18.79", "1251", "0.8788", "0.1975", False),
+    ("mirrored-y", -1): ("9295", "5.065", "1835", "0.9899", "0.9899", True),
+    ("mirrored-y", +1): ("2.362e+04", "25.61", "922.2", "0.6889", "0.02189", False),
+}
+
+
+def _dldd_on_path(scene: Scene, grid: FrequencyGrid, user_sign: int):
+    """`dldd_design`'s construction on the path term r_bs + user_sign * r_user, and the
+    largest dedicated sub-surface delay (s) it compresses."""
+    part = scene.partition
+    r_b, phi_b = _first_order_terms(scene, part, "bs")
+    r_u, phi_u = _first_order_terms(scene, part, "user")
+    decomp = CascadedDecomposition(part, r_b + user_sign * r_u,
+                                   _to_element_order(phi_b + user_sign * phi_u))
+    tau = required_subsurface_delays(decomp)
+    network = DlddDelayNetwork(part, tau[1:, 0] - tau[:-1, 0], tau[:, 1:] - tau[:, :-1],
+                               sign_consistency_check(decomp).sign)
+    theta = _wrap_phase(-2 * np.pi * grid.f_c / SPEED_OF_LIGHT * decomp.intra_delta_phi)
+    config = BeamformerConfig("dldd", PhaseShiftConfig(theta), network, grid.f_c)
+    return config, float(np.abs(tau).max())
+
+
+@pytest.mark.parametrize("name, user_sign", list(STRADDLE_ROWS),
+                         ids=[f"{n}-{'minus' if s < 0 else 'plus'}" for n, s in STRADDLE_ROWS])
+def test_straddle_account_depends_on_the_path_term(name, user_sign):
+    scenario = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.scn")
+    scene, grid = scenario.scene, scenario.grid
+    config, span = _dldd_on_path(scene, grid, user_sign)
+    if user_sign == -1:  # the program's own term: the construction is the design's
+        assert config.as_dict() == dldd_design(scene, grid).as_dict()
+    r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
+    f1, f_m = grid.frequencies[[0, -1]]
+
+    def edge(cap):
+        capped = replace(config, delay_cap=cap)
+        sums = _cascade_sums(capped, r_bs, -user_sign * r_user, f1, f_m - f1, 2)
+        return float(np.abs(sums).min()) / r_bs.size
+
+    module = required_delay_range(config)
+    sweep = [edge(t * 1e-12) for t in range(21)]
+    figures = [span * 1e12, module * 1e12, span / module, edge(None), edge(9e-12)]
+    monotone = all(b >= a - 1e-9 for a, b in zip(sweep, sweep[1:]))
+    assert (*(f"{x:.4g}" for x in figures), monotone) == STRADDLE_ROWS[name, user_sign]
