@@ -2,16 +2,18 @@
 
 All gains are evaluated against the exact spherical-wave channel regardless of
 which model a beamformer was designed from. Per-subcarrier gains come from
-one cascade kernel (`_cascade_sums`), a matrix product of block-start and offset
-phasor tables, each built by doubling from ~log2 of its length exponentials
-(`_powers`). The beam pattern (`multi_beam_pattern`) runs chunks of plane points,
-sized by one byte budget, on a thread per usable CPU, and sums each point over the
-elements with `np.einsum`: no BLAS, so its gains do not depend on the split. Both
-kernels take their exponentials from a table-driven exp(j theta) (`_cis`), faster
-than libm's complex exp and within 1e-15 of it. A kernel call whose
-phases may exceed the table's exact range (|theta| > 2.06e5 rad, r ~ 31 m at
-315 GHz) takes libm's exp throughout (`_cis_for`). The beam pattern's
-per-element weights are libm's exp.
+one cascade kernel (`_cascade_sums`). Below _NUFFT_FROM subcarriers it is a BLAS
+matrix product of block-start and offset phasor tables, each built by doubling
+from ~log2 of its length exponentials (`_powers`); from there on, a non-uniform
+FFT (`_nufft`) built from `np.bincount` and NumPy's FFT, with no BLAS and a cost
+nearly flat in the subcarrier count. The beam pattern (`multi_beam_pattern`) runs
+chunks of plane points, sized by one byte budget, on a thread per usable CPU, and
+sums each point over the elements with `np.einsum`: no BLAS, so its gains do not
+depend on the split. Both kernels take their exponentials from a table-driven
+exp(j theta) (`_cis`), faster than libm's complex exp and within 1e-15 of it. A
+kernel call whose phases may exceed the table's exact range (|theta| > 2.06e5
+rad, r ~ 31 m at 315 GHz) takes libm's exp throughout (`_cis_for`). The beam
+pattern's per-element weights are libm's exp.
 """
 
 from __future__ import annotations
@@ -43,6 +45,16 @@ _CIS_SHIFT = 1.5 * 2**52  # x + SHIFT - SHIFT is rint(x) for |x| < 2**51
 # a quarter turn from libm, the rest by exact rotations: T[i] = exp(2j*pi*i/M)
 _CIS_TABLE = np.exp(2j * np.pi / _CIS_M * np.arange(_CIS_M // 4))
 _CIS_TABLE = np.concatenate([_CIS_TABLE, 1j * _CIS_TABLE, -_CIS_TABLE, -1j * _CIS_TABLE])
+
+# subcarrier count from which `_cascade_sums` takes `_nufft`: on 10^4 elements (2-core
+# Xeon) the doubling path took 2.7-3.2 ms against 2.9-3.3 at 192 subcarriers, 3.2-3.4
+# against 3.2-3.2 at 256, 3.7-4.2 against 3.0-3.4 at 320 and 10-14 against 3.3-3.6 at 2048
+_NUFFT_FROM = 256
+# `_nufft` kernel width in grid points and its shape: over 2,000 random scenes, w = 14
+# drifted from the direct formula by 1.7e-12 of the weight mass, w = 16 and w = 18 by
+# 2.7e-13, the rounding of the reference's own phases
+_NUFFT_W = 16
+_NUFFT_BETA = 2.30 * _NUFFT_W
 
 
 def _check_gains(gains: np.ndarray) -> None:
@@ -126,21 +138,70 @@ def _cascade_sums(
 ) -> np.ndarray:
     """Sums over the elements of w_n exp(j*(anchor_n - 2*pi*f_i*delta_n)), f_i = f0 + i*df.
 
-    delta_n = (r_bs,n - r_user,n)/c + tau_n. Subcarrier i = b*B + k, B = ceil(sqrt(count)), is
-    c_n Z_n^b z_n^k, c_n = w_n exp(j*(anchor_n - 2*pi*f0*delta_n)), z_n = exp(-2j*pi*df*delta_n)
-    and Z_n = z_n^B: two `_powers` tables, ~log2(count) exponentials per element (13 at 2048
-    subcarriers), and one matrix product give every sum. Every exponential of a call is
-    `_cis`, or, if any phase may exceed _CIS_RANGE, libm's exp.
+    delta_n = (r_bs,n - r_user,n)/c + tau_n and c_n = w_n exp(j*(anchor_n - 2*pi*f0*delta_n)),
+    so sum i is sum_n c_n exp(2j*pi*i*u_n) with u_n = -df*delta_n. Below _NUFFT_FROM
+    subcarriers, i = b*B + k, B = ceil(sqrt(count)), is c_n Z_n^b z_n^k, z_n = exp(2j*pi*u_n)
+    and Z_n = z_n^B: two `_powers` tables, ~log2(count) exponentials per element, and one
+    BLAS matrix product give every sum. From _NUFFT_FROM on, `_nufft` takes the sums in
+    O(N + count log count), the modes centred on count//2 by one more phasor per element.
+    Every exponential of a call is `_cis`, or, if any phase may exceed _CIS_RANGE, libm's exp.
     """
     anchor, tau = config.anchor_and_delays()
     delta = (r_bs - r_user) / SPEED_OF_LIGHT + tau
-    block = int(np.ceil(np.sqrt(count)))
     # a table phase is m*step with m*block < count for the rows and m < block <= count
-    # for the offsets, so no phase exceeds this
+    # for the offsets, and the centring phase is (count//2)*df*delta, so none exceeds this
     cis = _cis_for(np.abs(anchor).max() + 2 * np.pi * (f0 + count * df) * np.abs(delta).max())
+    c = weights * _exp_j(anchor - 2 * np.pi * f0 * delta, cis)
+    if count >= _NUFFT_FROM:
+        c *= _exp_j(-2 * np.pi * (count // 2) * df * delta, cis)
+        return _nufft(c, -df * delta, count)
+    block = int(np.ceil(np.sqrt(count)))
     rows = _powers(-2 * np.pi * block * df * delta, -(-count // block), cis)
-    rows *= weights * _exp_j(anchor - 2 * np.pi * f0 * delta, cis)
+    rows *= c
     return (rows @ _powers(-2 * np.pi * df * delta, block, cis).T).ravel()[:count]
+
+
+def _semicircle(z: np.ndarray) -> np.ndarray:
+    """The `_nufft` kernel exp(beta*(sqrt(1 - z^2) - 1)) at |z| <= 1, in place of z."""
+    np.square(z, out=z)
+    np.subtract(1.0, z, out=z)
+    np.sqrt(z, out=z)
+    z -= 1.0
+    z *= _NUFFT_BETA
+    return np.exp(z, out=z)
+
+
+def _nufft(c: np.ndarray, u: np.ndarray, count: int) -> np.ndarray:
+    """Sums over n of c_n exp(2j*pi*k*u_n) for k = -(count//2) ... count - count//2 - 1.
+
+    A type-1 non-uniform FFT (Dutt & Rokhlin, 1993) with the "exponential of semicircle"
+    kernel (Barnett, Magland & af Klinteberg, 2019): each c_n is spread over the w grid
+    points nearest t_n = u_n*G on a periodic grid of G >= 2*count points, one FFT of the
+    grid gives every sum times the kernel's transform, and dividing by the DFT of the
+    kernel's samples at integer offsets takes that out. O(N*w + G log G) for N elements,
+    within ~4e-15 of sum |c_n| of exact sums; no BLAS, so the bytes do not depend on it.
+    Temporaries are written in place: on a 2-core Xeon each fresh (N, w) array cost more
+    than the pass that fills it.
+    """
+    w = _NUFFT_W
+    g = 1 << (2 * count - 1).bit_length()
+    t = u * g  # exact: g is a power of two
+    start = np.ceil(t - w / 2)
+    # (start_n + j - t_n)*2/w, in [-1, 1], for the w grid points start_n + j
+    phi = _semicircle(np.add.outer((start - t) * (2 / w), np.arange(w) * (2 / w)))
+    idx = np.add.outer(start.astype(np.int64), np.arange(w))
+    idx &= g - 1
+    idx = idx.ravel()
+    part = np.multiply(phi, c.real[:, None])
+    grid = np.empty(g, dtype=complex)
+    grid.real = np.bincount(idx, part.ravel(), g)
+    np.multiply(phi, c.imag[:, None], out=part)
+    grid.imag = np.bincount(idx, part.ravel(), g)
+    samples = np.zeros(g)
+    m = np.arange(-(w // 2), w // 2 + 1)
+    samples[m] = _semicircle(m * (2 / w))
+    modes = (np.arange(count) - count // 2) & (g - 1)
+    return (np.fft.ifft(grid) * g)[modes] / np.fft.fft(samples).real[modes]
 
 
 def normalized_array_gain(

@@ -1,26 +1,33 @@
-"""The block-factorized cascade kernel against the direct per-subcarrier formula.
+"""The cascade kernel's two paths against the direct per-subcarrier formula.
 
-`metrics._cascade_sums` writes subcarrier i = b*B + k (B = ceil(sqrt(count)))
-as c_n Z_n^b z_n^k, with c_n = w_n exp(j*(anchor_n - 2*pi*f0*delta_n)),
-z_n = exp(-2j*pi*df*delta_n) and Z_n = z_n^B, and reduces a row table of
-c_n Z_n^b and an offset table of z_n^k with one matrix product.
-`metrics._powers` builds each table by doubling: entry i is a product of
-popcount(i) exact exponentials at exact multiples 2^e * step, so no error
-builds up along a table. The direct formula below builds the full (N, F)
-phasor array instead and sums it over the elements; it is kept here as the
-reference.
+`metrics._cascade_sums` computes S_i = sum_n c_n exp(2j*pi*i*u_n) for i < count,
+with c_n = w_n exp(j*(anchor_n - 2*pi*f0*delta_n)) and u_n = -df*delta_n.
+Below `metrics._NUFFT_FROM` subcarriers it writes subcarrier i = b*B + k
+(B = ceil(sqrt(count))) as c_n Z_n^b z_n^k, with z_n = exp(2j*pi*u_n) and
+Z_n = z_n^B, and reduces a row table of c_n Z_n^b and an offset table of z_n^k
+with one matrix product. `metrics._powers` builds each table by doubling:
+entry i is a product of popcount(i) exact exponentials at exact multiples
+2^e * step, so no error builds up along a table. From `_NUFFT_FROM` on, it
+takes the same sums by a type-1 non-uniform FFT (`metrics._nufft`): the modes
+centred on count//2 by one more phasor per element, the c_n spread onto a
+periodic grid with an "exponential of semicircle" kernel, one FFT, and a
+division by the DFT of the kernel's samples. The direct formula below builds
+the full (N, F) phasor array instead and sums it over the elements; it is kept
+here as the reference for both paths, and `COUNTS` holds counts on both sides
+of the crossover.
 
 Every consumer takes |sum|, so the sums are compared by magnitude: normalized
 gains to an absolute DRIFT_TOL, weighted sums to DRIFT_TOL times the weight
 mass sum |w_n| (near a null a relative bound would measure the conditioning of
-the sum, which the direct formula shares, not the kernel). The largest drift
-measured over 2,000 scenes, for three seeds, was 2.9e-13, 6.3e-13 and 2.6e-13
-for the normalized gains (6.3e-13 of the weight mass for the weighted sums)
-and 2.0e-13 for the edge gains; the kernel with exact exp at every block start
-and offset drifted by 2.8e-13, 6.5e-13 and 3.7e-13 on the same scenes. Both
-kernels and the reference round a phase 2*pi*f*delta of up to ~4e4 rad, whose
-last bit is ~7e-12 rad: the drift is the reference's rounding as much as the
-kernel's.
+the sum, which the direct formula shares, not the kernel). For the doubling
+path, the largest drift measured over 2,000 scenes, for three seeds, was
+2.9e-13, 6.3e-13 and 2.6e-13 for the normalized gains (6.3e-13 of the weight
+mass for the weighted sums) and 2.0e-13 for the edge gains; the kernel with
+exact exp at every block start and offset drifted by 2.8e-13, 6.5e-13 and
+3.7e-13 on the same scenes. Both paths and the reference round a phase
+2*pi*f*delta of up to ~4e4 rad, whose last bit is ~7e-12 rad: the drift is the
+reference's rounding as much as the kernel's. Against sums whose phases are
+reduced exactly, `_nufft` alone stays within ~4e-15 of sum |c_n|.
 """
 
 import os
@@ -43,8 +50,10 @@ from irslab.experiments import DESIGN_NAMES, _edge_gains, build_design
 from irslab.geometry import SPEED_OF_LIGHT, FrequencyGrid
 from irslab.metrics import (
     _CIS_RANGE,
+    _NUFFT_FROM,
     _cascade_sums,
     _cis_for,
+    _nufft,
     _powers,
     cascade_gain_magnitudes,
     gain_profile,
@@ -55,8 +64,10 @@ from irslab.scenario import parse_scenario
 DRIFT_TOL = 1e-12
 ROOT = Path(__file__).resolve().parent.parent
 
-# primes, perfect squares, the edges of a block and the wideband workload's size
-COUNTS = (1, 2, 3, 4, 5, 7, 16, 17, 49, 97, 1009, 1024, 2025, 2039, 2047, 2048)
+# primes, perfect squares, the edges of a block, both sides of the crossover to the
+# non-uniform FFT, the wideband workload's size and a band past it
+COUNTS = (1, 2, 3, 4, 5, 7, 16, 17, 49, 97, _NUFFT_FROM - 1, _NUFFT_FROM, 1009, 1024, 2025,
+          2039, 2047, 2048, 16384)
 
 
 def direct_sums(config, r_bs, r_user, c, freqs, weights=1.0):
@@ -155,6 +166,58 @@ def test_edge_gains_match_direct_formula(case):
         want = direct_gains(config, r_bs, r_user, grid.c, edges).min()
         got = _edge_gains(config, scene, grid)
         assert abs(got - want) <= DRIFT_TOL
+
+
+def explicit_sums(c, u, count):
+    """Reference for `_nufft`: sum_n c_n exp(2j*pi*k*u_n) over the centred modes k, one
+    exp per term, with k*u_n rounded once and reduced by its nearest integer."""
+    x = np.outer(u, np.arange(count) - count // 2)
+    x -= np.rint(x)
+    return (c[:, None] * np.exp(2j * np.pi * x)).sum(axis=0)
+
+
+def nufft_cases():
+    rng = np.random.default_rng(19)
+    c = rng.normal(size=200) + 1j * rng.normal(size=200)
+    # u*G lands just below a multiple of G, so the kernel wraps at the grid's edge
+    below = np.nextafter(rng.integers(-3, 4, 200).astype(float), -np.inf)
+    return {
+        "random": (c, rng.uniform(-3.0, 3.0, 200)),
+        "on-grid-nodes": (c, rng.integers(-2048, 2048, 200) / 512),  # G >= 512 here
+        "just-below-an-integer": (c, below),
+        "negative": (c, -rng.uniform(0.0, 0.1, 200)),
+        "all-zero": (c, np.zeros(200)),  # as for the uncapped per-element design
+        "single-element": (c[:1], np.array([0.3])),
+    }
+
+
+@pytest.mark.parametrize("count", [_NUFFT_FROM, 1023, 1024])
+@pytest.mark.parametrize("case", sorted(nufft_cases()))
+def test_nufft_matches_the_explicit_sum(case, count):
+    c, u = nufft_cases()[case]
+    got = _nufft(c, u, count)
+    assert got.shape == (count,)
+    assert np.abs(got - explicit_sums(c, u, count)).max() <= DRIFT_TOL * np.abs(c).sum()
+
+
+@pytest.mark.parametrize("name", ["default.scn", "mirrored-y.scn"])
+def test_swapping_bs_and_user_keeps_the_wideband_metrics(name):
+    """Metamorphic: the cascade is reciprocal, so trading the endpoints and rebuilding every
+    design moves neither gains nor gain magnitudes, here on the non-uniform FFT path."""
+    scenario = parse_scenario((ROOT / "scenarios" / name).read_text())
+    scene, grid = scenario.scene, replace(scenario.grid, m_count=2048)
+    runs = []
+    for scene in (scene, replace(scene, bs=scene.user, user=scene.bs)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SignConsistencyWarning)
+            configs = [build_design(replace(scenario, scene=scene, grid=grid), design)
+                       for design in DESIGN_NAMES]
+        configs += [replace(config, delay_cap=9e-12) for config in configs[1:]]
+        runs.append([(gain_profile(scene, grid, config).gains,
+                      cascade_gain_magnitudes(scene, grid, config)) for config in configs])
+    for (gains, mags), (swapped_gains, swapped_mags) in zip(*runs):
+        np.testing.assert_allclose(swapped_gains, gains, rtol=0, atol=DRIFT_TOL)
+        np.testing.assert_allclose(swapped_mags, mags, rtol=0, atol=DRIFT_TOL * mags.max())
 
 
 def exp_by(cis, theta):
@@ -268,7 +331,8 @@ def test_powers_match_exp_entry_by_entry(count):
 
 @pytest.mark.parametrize("command", ["gain-profile", "rate-sweep"])
 def test_wideband_bytes_do_not_depend_on_blas_threads(tmp_path, command):
-    """The kernel's one matrix product goes through BLAS; its bytes hold at 1 and 2 threads."""
+    """At 2048 subcarriers the kernel is the non-uniform FFT, which uses no BLAS; its bytes
+    hold at 1 and 2 BLAS threads."""
     scn = tmp_path / "wide.scn"
     scn.write_text("grid.subcarriers = 2048\n")
     outputs = []

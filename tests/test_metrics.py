@@ -310,23 +310,34 @@ class TestClampedGain:
         assert all(b >= a - 1e-9 for a, b in zip(gains, gains[1:]))
 
 
+def per_subcarrier_peak(subcarriers):
+    """Traced peak of every design's gain profile and gain magnitudes on the default panel."""
+    scenario = parse_scenario(f"grid.subcarriers = {subcarriers}")
+    scene, grid = scenario.scene, scenario.grid
+    configs = [build_design(scenario, name) for name in DESIGN_NAMES]
+    tracemalloc.start()
+    try:
+        for config in configs:
+            gain_profile(scene, grid, config)
+            cascade_gain_magnitudes(scene, grid, config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestWidebandMemory:
     def test_per_subcarrier_metrics_hold_no_element_by_subcarrier_array(self):
         # one (N, F) complex phasor array at N = 10^4, F = 2048 would alone take 328 MB;
-        # the block-factorized kernel peaked at 21.4 MiB here, and at 14.8 MiB with its
-        # tables built by doubling, which hold no table-sized phase array
-        scenario = parse_scenario("grid.subcarriers = 2048")
-        scene, grid = scenario.scene, scenario.grid
-        configs = [build_design(scenario, name) for name in DESIGN_NAMES]
-        tracemalloc.start()
-        try:
-            for config in configs:
-                gain_profile(scene, grid, config)
-                cascade_gain_magnitudes(scene, grid, config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
+        # the block-factorized kernel peaked at 21.4 MiB here, at 14.7 MiB with its
+        # tables built by doubling, and at 4.8 MiB with the non-uniform FFT, whose
+        # largest temporaries are three (N, 16) tables
+        assert per_subcarrier_peak(2048) < 8 * 2**20
+
+    def test_per_subcarrier_memory_is_bounded_along_the_band(self):
+        # the doubling tables grow with sqrt(F) rows and columns and the product with F:
+        # 79.9 MiB at 65,536 subcarriers; the non-uniform FFT holds a few grid-sized
+        # vectors (2 MiB each at G = 131,072) beside its (N, 16) tables: 13.4 MiB
+        assert per_subcarrier_peak(65536) < 24 * 2**20
 
 
 class TestBeamPatternMemory:
