@@ -47,12 +47,13 @@ _CIS_TABLE = np.exp(2j * np.pi / _CIS_M * np.arange(_CIS_M // 4))
 _CIS_TABLE = np.concatenate([_CIS_TABLE, 1j * _CIS_TABLE, -_CIS_TABLE, -1j * _CIS_TABLE])
 
 # subcarrier count from which `_cascade_sums` takes `_nufft`: on 10^4 elements (2-core
-# Xeon) the doubling path took 2.7-3.2 ms against 2.9-3.3 at 192 subcarriers, 3.2-3.4
-# against 3.2-3.2 at 256, 3.7-4.2 against 3.0-3.4 at 320 and 10-14 against 3.3-3.6 at 2048
-_NUFFT_FROM = 256
-# `_nufft` kernel width in grid points and its shape: over 2,000 random scenes, w = 14
-# drifted from the direct formula by 1.7e-12 of the weight mass, w = 16 and w = 18 by
-# 2.7e-13, the rounding of the reference's own phases
+# Xeon, quartiles of 120 calls) the doubling path took 2.9-3.5 ms against 3.0-3.6 at 256
+# subcarriers (16 x 16 tables), 2.9-4.1 against 2.9-3.7 at 257, 3.6-3.8 against 3.3-3.5
+# at 272 and 11-13 against 3.5-4.1 at 2048
+_NUFFT_FROM = 257
+# `_nufft` kernel width in grid points and its shape: on the 830 of 2,000 random scenes
+# at or above the crossover, w = 14 drifted from the direct formula by 1.7e-12 of the
+# weight mass, w = 16 and w = 18 by 2.4e-13, the rounding of the reference's own phases
 _NUFFT_W = 16
 _NUFFT_BETA = 2.30 * _NUFFT_W
 
@@ -180,23 +181,23 @@ def _nufft(c: np.ndarray, u: np.ndarray, count: int) -> np.ndarray:
     grid gives every sum times the kernel's transform, and dividing by the DFT of the
     kernel's samples at integer offsets takes that out. O(N*w + G log G) for N elements,
     within ~4e-15 of sum |c_n| of exact sums; no BLAS, so the bytes do not depend on it.
-    Temporaries are written in place: on a 2-core Xeon each fresh (N, w) array cost more
-    than the pass that fills it.
+    The spreading runs one grid offset j at a time over (N,) scratch vectors: (N, w)
+    tables were slower, each fresh one costing more than the pass that fills it.
     """
     w = _NUFFT_W
     g = 1 << (2 * count - 1).bit_length()
     t = u * g  # exact: g is a power of two
     start = np.ceil(t - w / 2)
-    # (start_n + j - t_n)*2/w, in [-1, 1], for the w grid points start_n + j
-    phi = _semicircle(np.add.outer((start - t) * (2 / w), np.arange(w) * (2 / w)))
-    idx = np.add.outer(start.astype(np.int64), np.arange(w))
-    idx &= g - 1
-    idx = idx.ravel()
-    part = np.multiply(phi, c.real[:, None])
-    grid = np.empty(g, dtype=complex)
-    grid.real = np.bincount(idx, part.ravel(), g)
-    np.multiply(phi, c.imag[:, None], out=part)
-    grid.imag = np.bincount(idx, part.ravel(), g)
+    offset, first = (start - t) * (2 / w), start.astype(np.int64)
+    z, part, idx = np.empty_like(offset), np.empty_like(offset), np.empty_like(first)
+    grid = np.zeros(g, dtype=complex)
+    for j in range(w):
+        # grid point start_n + j, at (start_n + j - t_n)*2/w in [-1, 1] of the kernel
+        phi = _semicircle(np.add(offset, j * (2 / w), out=z))
+        np.add(first, j, out=idx)
+        idx &= g - 1
+        grid.real += np.bincount(idx, np.multiply(phi, c.real, out=part), g)
+        grid.imag += np.bincount(idx, np.multiply(phi, c.imag, out=part), g)
     samples = np.zeros(g)
     m = np.arange(-(w // 2), w // 2 + 1)
     samples[m] = _semicircle(m * (2 / w))

@@ -26,8 +26,12 @@ mass for the weighted sums) and 2.0e-13 for the edge gains; the kernel with
 exact exp at every block start and offset drifted by 2.8e-13, 6.5e-13 and
 3.7e-13 on the same scenes. Both paths and the reference round a phase
 2*pi*f*delta of up to ~4e4 rad, whose last bit is ~7e-12 rad: the drift is the
-reference's rounding as much as the kernel's. Against sums whose phases are
-reduced exactly, `_nufft` alone stays within ~4e-15 of sum |c_n|.
+reference's rounding as much as the kernel's. With the non-uniform FFT from
+257 subcarriers on, three more seeds of 2,000 scenes (42-43 % of them at or
+above the crossover) drifted by at most 2.7e-13, 1.9e-13 and 1.7e-13 on the
+doubling path and 2.4e-13, 2.2e-13 and 3.3e-13 on the FFT path. Against sums whose
+phases k*u_n are reduced by their nearest integer, `_nufft` alone stays within
+~4e-15 of sum |c_n|.
 """
 
 import os
