@@ -152,13 +152,13 @@ def _cascade_sums(
     # a table phase is m*step with m*block < count for the rows and m < block <= count
     # for the offsets, and the centring phase is (count//2)*df*delta, so none exceeds this
     cis = _cis_for(np.abs(anchor).max() + 2 * np.pi * (f0 + count * df) * np.abs(delta).max())
-    c = weights * _exp_j(anchor - 2 * np.pi * f0 * delta, cis)
     if count >= _NUFFT_FROM:
+        c = weights * _exp_j(anchor - 2 * np.pi * f0 * delta, cis)
         c *= _exp_j(-2 * np.pi * (count // 2) * df * delta, cis)
         return _nufft(c, -df * delta, count)
     block = int(np.ceil(np.sqrt(count)))
     rows = _powers(-2 * np.pi * block * df * delta, -(-count // block), cis)
-    rows *= c
+    rows *= weights * _exp_j(anchor - 2 * np.pi * f0 * delta, cis)
     return (rows @ _powers(-2 * np.pi * df * delta, block, cis).T).ravel()[:count]
 
 
