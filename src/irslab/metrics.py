@@ -47,9 +47,9 @@ _CIS_TABLE = np.exp(2j * np.pi / _CIS_M * np.arange(_CIS_M // 4))
 _CIS_TABLE = np.concatenate([_CIS_TABLE, 1j * _CIS_TABLE, -_CIS_TABLE, -1j * _CIS_TABLE])
 
 # subcarrier count from which `_cascade_sums` takes `_nufft`: on 10^4 elements (2-core
-# Xeon, quartiles of 120 calls) the doubling path took 2.9-3.5 ms against 3.0-3.6 at 256
-# subcarriers (16 x 16 tables), 2.9-4.1 against 2.9-3.7 at 257, 3.6-3.8 against 3.3-3.5
-# at 272 and 11-13 against 3.5-4.1 at 2048
+# Xeon, quartiles of 120 calls) the doubling path took 3.5-3.7 ms against 3.6-3.8 at 256
+# subcarriers (16 x 16 tables), 3.8-4.1 against 3.4-3.7 at 257, 3.9-4.1 against 3.5-3.8
+# at 272 and 14-16 against 4.1-4.5 at 2048
 _NUFFT_FROM = 257
 # `_nufft` kernel width in grid points and its shape: on the 830 of 2,000 random scenes
 # at or above the crossover, w = 14 drifted from the direct formula by 1.7e-12 of the
