@@ -91,9 +91,7 @@ class DlddDelayNetwork:
 
     def element_delays(self, clamp: Optional[float]) -> np.ndarray:
         """Signed delay per element, shape (N,): each sub-surface's cumulative delay."""
-        s = self.partition.s
-        cum = self.cumulative_delays(clamp)
-        return np.repeat(np.repeat(cum, s, axis=0), s, axis=1).reshape(-1)
+        return self.partition.to_elements(self.cumulative_delays(clamp)[:, :, None, None])
 
     def max_module_delay(self) -> float:
         """Largest routed delta a single module must realize, seconds (0 without modules)."""

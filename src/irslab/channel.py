@@ -78,11 +78,6 @@ def exact_los_channel(
     return gains
 
 
-def _to_element_order(per_subsurface_element: np.ndarray) -> np.ndarray:
-    """Reshape a (k_y, k_z, s, s) table to global row-major element order (N,)."""
-    return per_subsurface_element.transpose(0, 2, 1, 3).reshape(-1)
-
-
 def _first_order_terms(
     scene: Scene, partition: SubsurfacePartition, endpoint: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +114,7 @@ def piecewise_channel(
     the element's sub-surface center distance r_k and its intra offsets.
     """
     r, phi = _first_order_terms(scene, partition, endpoint)
-    r_lin = _to_element_order(r[:, :, None, None] - phi)
+    r_lin = partition.to_elements(r[:, :, None, None] - phi)
     return np.exp(-2j * np.pi / grid.c * np.outer(r_lin, grid.frequencies))
 
 
@@ -136,12 +131,11 @@ def cascaded_decomposition(scene: Scene, partition: SubsurfacePartition) -> Casc
     return CascadedDecomposition(
         partition=partition,
         inter_delta_r=r_b - r_u,
-        intra_delta_phi=_to_element_order(phi_b - phi_u),
+        intra_delta_phi=partition.to_elements(phi_b - phi_u),
     )
 
 
 def cascaded_phase_from_decomposition(decomp: CascadedDecomposition, f: float) -> np.ndarray:
     """Per-element piecewise cascaded phase -2*pi*(f/c)*(inter - intra), shape (N,)."""
-    s = decomp.partition.s
-    inter_el = np.repeat(np.repeat(decomp.inter_delta_r, s, axis=0), s, axis=1).reshape(-1)
+    inter_el = decomp.partition.to_elements(decomp.inter_delta_r[:, :, None, None])
     return -2.0 * np.pi * f / SPEED_OF_LIGHT * (inter_el - decomp.intra_delta_phi)

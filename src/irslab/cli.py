@@ -26,7 +26,7 @@ from .experiments import (
     run_rate_sweep,
     run_td_count_sweep,
 )
-from .scenario import ScenarioError, load_scenario
+from .scenario import load_scenario
 
 
 def _tokens_arg(text: str) -> list[str]:
@@ -106,11 +106,7 @@ def _write(result, out: Optional[str], fmt: str) -> Path:
         write = result.to_csv if fmt == "csv" else result.to_json
     else:
         path = Path(out or "beamformer-config.json")
-
-        def write(fh):
-            _write_json(result, fh)
-            fh.write("\n")
-
+        write = functools.partial(_write_json, result)
     with path.open("w", newline="") as fh:
         write(fh)
     return path
@@ -121,7 +117,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _, runner = COMMANDS[args.command]
     try:
         path = _write(runner(load_scenario(args.scenario), args), args.out, args.format)
-    except (ScenarioError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {path}")

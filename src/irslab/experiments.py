@@ -62,11 +62,6 @@ class ResultTable:
     def columns(self) -> tuple[str, ...]:
         return tuple(self.data)
 
-    @property
-    def rows(self) -> list[tuple]:
-        """Every row as a tuple of Python numbers, in a new list."""
-        return list(self._rows())
-
     def _rows(self, dtype=None):
         """Yield each row as a tuple of Python numbers, converting a block of rows at a time."""
         cols = tuple(self.data.values())
@@ -95,14 +90,14 @@ class ResultTable:
             },
             fh,
         )
-        fh.write("\n")
 
     def column(self, name: str) -> np.ndarray:
         return self.data[name].copy()
 
 
 def _write_json(obj, fh: IO[str]) -> None:
-    """Write obj exactly as `json.dump(obj, fh, indent=2)` does.
+    """Write obj exactly as `json.dump(obj, fh, indent=2)` does, then the newline that
+    ends the document.
 
     An iterator is written as the list of its items, read one at a time, so a
     table streams its rows. A list or tuple of finite floats is written by one
@@ -112,6 +107,7 @@ def _write_json(obj, fh: IO[str]) -> None:
     """
     for piece in _json_pieces(obj, "\n"):
         fh.write(piece)
+    fh.write("\n")
 
 
 def _json_pieces(obj, nl: str) -> Iterator[str]:

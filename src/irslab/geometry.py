@@ -107,6 +107,17 @@ class SubsurfacePartition:
     def matches(self, layout: IrsLayout) -> bool:
         return self.s * self.k_y == layout.n_y and self.s * self.k_z == layout.n_z
 
+    def to_elements(self, table: np.ndarray) -> np.ndarray:
+        """Lay a per-sub-surface table out in row-major element order, shape (N,).
+
+        Entry [ky, kz, a, b] of a (k_y, k_z, s, s) table belongs to the element at
+        intra offset (a, b) of sub-surface (ky, kz); a table with size-1 trailing
+        axes, such as (k_y, k_z, 1, 1), gives every element of a sub-surface its
+        value. With s = 1 the result is a read-only view of `table`.
+        """
+        s = self.s
+        return np.broadcast_to(table, (self.k_y, self.k_z, s, s)).transpose(0, 2, 1, 3).reshape(-1)
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -287,20 +298,21 @@ def fraunhofer_distance(layout: IrsLayout, lambda_c: float) -> float:
 # --- vectorized helpers used by the channel and metric kernels ---
 
 
+def _panel_grid(n_y: int, n_z: int, step: float) -> np.ndarray:
+    """Points (0, y, z) of an n_y x n_z grid in the panel plane, `step` apart and
+    centered on the origin, as an (n_y, n_z, 3) array."""
+    yy, zz = np.meshgrid((np.arange(n_y) - (n_y - 1) / 2) * step,
+                         (np.arange(n_z) - (n_z - 1) / 2) * step, indexing="ij")
+    return np.stack([np.zeros_like(yy), yy, zz], axis=-1)
+
+
 def element_positions(layout: IrsLayout) -> np.ndarray:
     """All element positions as an (N, 3) array, row-major in (iy, iz)."""
-    oy = (np.arange(layout.n_y) - (layout.n_y - 1) / 2) * layout.d
-    oz = (np.arange(layout.n_z) - (layout.n_z - 1) / 2) * layout.d
-    yy, zz = np.meshgrid(oy, oz, indexing="ij")
-    return np.stack([np.zeros_like(yy), yy, zz], axis=-1).reshape(-1, 3)
+    return _panel_grid(layout.n_y, layout.n_z, layout.d).reshape(-1, 3)
 
 
 def subsurface_centers(layout: IrsLayout, partition: SubsurfacePartition) -> np.ndarray:
     """All sub-surface centers as a (k_y, k_z, 3) array."""
     if not partition.matches(layout):
         raise ValueError("partition does not tile the layout")
-    step = partition.s * layout.d
-    cy = (np.arange(partition.k_y) - (partition.k_y - 1) / 2) * step
-    cz = (np.arange(partition.k_z) - (partition.k_z - 1) / 2) * step
-    yy, zz = np.meshgrid(cy, cz, indexing="ij")
-    return np.stack([np.zeros_like(yy), yy, zz], axis=-1)
+    return _panel_grid(partition.k_y, partition.k_z, partition.s * layout.d)

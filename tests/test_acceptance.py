@@ -46,7 +46,6 @@ from irslab.beamforming import (
 from irslab.channel import (
     CascadedDecomposition,
     _first_order_terms,
-    _to_element_order,
     cascaded_decomposition,
     element_distances,
     exact_los_channel,
@@ -337,7 +336,7 @@ def _dldd_on_path(scene: Scene, grid: FrequencyGrid, user_sign: int):
     r_b, phi_b = _first_order_terms(scene, part, "bs")
     r_u, phi_u = _first_order_terms(scene, part, "user")
     decomp = CascadedDecomposition(part, r_b + user_sign * r_u,
-                                   _to_element_order(phi_b + user_sign * phi_u))
+                                   part.to_elements(phi_b + user_sign * phi_u))
     tau = required_subsurface_delays(decomp)
     network = DlddDelayNetwork(part, tau[1:, 0] - tau[:-1, 0], tau[:, 1:] - tau[:, :-1],
                                sign_consistency_check(decomp).sign)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from irslab.beamforming import (
     BeamformerConfig,
+    DlddDelayNetwork,
     PerElementDelayConfig,
     PhaseShiftConfig,
     SignConsistencyWarning,
@@ -457,3 +459,19 @@ class TestDlddNetworkPartition:
         delays = net.element_delays(None).reshape(20, 20)
         cum = net.cumulative_delays()
         assert delays[7, 13] == cum[1, 2]
+
+
+NETWORK = DlddDelayNetwork(SubsurfacePartition(2, 2, 2), np.zeros(1), np.zeros((2, 1)), 1)
+
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda: PhaseShiftConfig(np.zeros((4, 4))), "theta must be a flat per-element array"),
+    (lambda: replace(NETWORK, switch_sign=0), "switch_sign must be +1 or -1"),
+    (lambda: PerElementDelayConfig(np.array([0.0, np.nan])),
+     "tau must be a finite flat per-element array"),
+    (lambda: BeamformerConfig("dldd", PhaseShiftConfig(np.zeros(9)), NETWORK, 300e9),
+     "delay network inconsistent with the phase table size"),
+], ids=["theta-2d", "switch-sign", "tau-finite", "network-size"])
+def test_input_checks(build, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        build()

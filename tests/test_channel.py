@@ -1,10 +1,12 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
 from irslab.channel import (
+    CascadedDecomposition,
     cascaded_decomposition,
     cascaded_phase_from_decomposition,
     element_distances,
@@ -20,6 +22,7 @@ from irslab.geometry import (
     Point3,
     Scene,
     SubsurfacePartition,
+    subsurface_center,
 )
 
 from conftest import wrapped_phase_diff
@@ -176,3 +179,24 @@ class TestDistanceHelpers:
         assert np.allclose(
             delta, element_distances(small_scene, "bs") - element_distances(small_scene, "user")
         )
+
+
+PARTITION = SubsurfacePartition(2, 2, 2)
+LAYOUT = IrsLayout(4, 4, 1e-3)
+CORNER = subsurface_center(LAYOUT, PARTITION, 1, 1)
+
+
+@pytest.mark.parametrize("build, error, fragment", [
+    (lambda: CascadedDecomposition(PARTITION, np.zeros((1, 2)), np.zeros(16)),
+     ValueError, "inter table must have shape (k_y, k_z)"),
+    (lambda: CascadedDecomposition(PARTITION, np.full((2, 2), np.nan), np.zeros(16)),
+     ValueError, "inter table must be finite"),
+    (lambda: CascadedDecomposition(PARTITION, np.zeros((2, 2)), np.full(16, np.inf)),
+     ValueError, "intra table must be finite"),
+    (lambda: cascaded_decomposition(Scene(CORNER, Point3(1.0, 0.0, 0.0), LAYOUT, PARTITION),
+                                    PARTITION),
+     DegenerateGeometryError, "bs coincides with a sub-surface center"),
+], ids=["inter-shape", "inter-finite", "intra-finite", "endpoint-at-center"])
+def test_input_checks(build, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        build()

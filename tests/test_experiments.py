@@ -84,7 +84,7 @@ class TestGainProfileRunner:
             "gain_dldd",
             "gain_per_element",
         )
-        assert len(table.rows) == 16
+        assert len(table.column("subcarrier_index")) == 16
 
     def test_per_element_column_is_unity(self, small_scenario):
         table = run_gain_profile(small_scenario)
@@ -103,7 +103,7 @@ class TestBeamPatternRunner:
     def test_long_format_and_peaks(self, small_scenario):
         table = run_beam_pattern(small_scenario, design="per-element")
         assert table.columns == ("frequency_ghz", "x_m", "y_m", "gain")
-        assert len(table.rows) == 3 * 11 * 11
+        assert len(table.column("gain")) == 3 * 11 * 11
         peaks = [c for c in table.comments if c.startswith("peak:")]
         assert len(peaks) == 3
 
@@ -127,9 +127,9 @@ class TestBeamPatternRunner:
 
     def test_explicit_frequency_tokens(self, small_scenario):
         table = run_beam_pattern(small_scenario, design="narrowband", frequencies=["fc"])
-        assert len(table.rows) == 11 * 11
+        assert len(table.column("gain")) == 11 * 11
         grid = small_scenario.grid
-        assert table.rows[0][0] == pytest.approx(grid.f_c / 1e9)
+        assert table.column("frequency_ghz")[0] == pytest.approx(grid.f_c / 1e9)
 
     def test_bad_token(self, small_scenario):
         with pytest.raises(ScenarioError, match="frequency token"):
@@ -147,11 +147,13 @@ class TestBeamPatternRunner:
         up = run_beam_pattern(small_scenario, frequencies=["f1", "fc", "fM"])
         down = run_beam_pattern(small_scenario, frequencies=["fM", "fc", "f1"])
         block = 11 * 11
-        assert [down.rows[i * block][0] for i in range(3)] == [
+        assert [down.column("frequency_ghz")[i * block] for i in range(3)] == [
             grid.frequencies[-1] / 1e9, grid.f_c / 1e9, grid.frequencies[0] / 1e9
         ]
-        for i in range(3):
-            assert down.rows[i * block:(i + 1) * block] == up.rows[(2 - i) * block:(3 - i) * block]
+        for name in up.columns:
+            for i in range(3):
+                assert (down.column(name)[i * block:(i + 1) * block].tolist()
+                        == up.column(name)[(2 - i) * block:(3 - i) * block].tolist())
         assert down.comments == up.comments[::-1]
 
 
@@ -173,10 +175,10 @@ class TestDelayRangeSweep:
         table = run_delay_range_sweep(small_scenario)
         profile = run_gain_profile(small_scenario, designs=("narrowband",))
         nb_edge = min(profile.column("gain_narrowband")[0], profile.column("gain_narrowband")[-1])
-        row0 = table.rows[0]
-        assert row0[0] == 0.0
-        assert row0[2] == pytest.approx(nb_edge, abs=1e-9)  # per-element exactly
-        assert row0[1] == pytest.approx(nb_edge, abs=5e-3)  # dldd up to model error
+        assert table.column("t_req_ps")[0] == 0.0
+        # per-element exactly, dldd up to model error
+        assert table.column("edge_gain_per_element")[0] == pytest.approx(nb_edge, abs=1e-9)
+        assert table.column("edge_gain_dldd")[0] == pytest.approx(nb_edge, abs=5e-3)
 
     def test_large_cap_releases_clamp(self, small_scenario):
         # per-element delays here are ~6 ns, so 100 ns releases everything
@@ -185,8 +187,8 @@ class TestDelayRangeSweep:
         )
         profile = run_gain_profile(small_scenario, designs=("dldd", "per-element"))
         dldd_edge = min(profile.column("gain_dldd")[0], profile.column("gain_dldd")[-1])
-        assert table.rows[-1][1] == pytest.approx(dldd_edge, abs=1e-12)
-        assert table.rows[-1][2] == pytest.approx(1.0, abs=1e-9)
+        assert table.column("edge_gain_dldd")[-1] == pytest.approx(dldd_edge, abs=1e-12)
+        assert table.column("edge_gain_per_element")[-1] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.fixture
@@ -259,10 +261,9 @@ class TestRateSweep:
             "rate_dldd",
             "rate_per_element",
         )
-        for row in table.rows:
-            _, nb, dldd, pe = row
-            assert pe >= dldd - 1e-12
-            assert dldd >= nb - 1e-12
+        nb, dldd, pe = (table.column(name) for name in table.columns[1:])
+        assert np.all(pe >= dldd - 1e-12)
+        assert np.all(dldd >= nb - 1e-12)
 
     def test_rates_grow_with_power(self, small_scenario):
         table = run_rate_sweep(small_scenario)
@@ -329,7 +330,7 @@ class TestDeterminismAndProvenance:
         blob = json.loads(buf.getvalue())
         assert blob["experiment"] == "td-count-sweep"
         assert blob["columns"] == ["k_t", "edge_gain"]
-        assert len(blob["rows"]) == len(table.rows)
+        assert len(blob["rows"]) == len(table.column("k_t"))
 
 
 class TestExportConfig:
@@ -702,8 +703,10 @@ json_values = st.recursive(
 
 
 def dumped(obj) -> str:
+    """The text of `json.dump(obj, fh, indent=2)` and the newline that ends the document."""
     buf = io.StringIO()
     json.dump(obj, buf, indent=2)
+    buf.write("\n")
     return buf.getvalue()
 
 
@@ -720,7 +723,7 @@ def _small_plane(text: str) -> str:
 
 
 class TestJsonWriter:
-    """`_write_json` writes the bytes of `json.dump(obj, fh, indent=2)`."""
+    """`_write_json` writes the bytes of `json.dump(obj, fh, indent=2)` and a newline."""
 
     @settings(max_examples=300, deadline=None)
     @given(obj=json_values)
@@ -755,3 +758,12 @@ class TestJsonWriter:
             buf = io.StringIO()
             table.to_json(buf)
             assert buf.getvalue() == old_writers(table)[1]
+
+
+@pytest.mark.parametrize("data", [
+    {"a": np.zeros(2), "b": np.zeros(3)},
+    {"a": np.zeros((2, 2))},
+], ids=["ragged", "2-d"])
+def test_input_checks(data):
+    with pytest.raises(ValueError, match="columns must be 1-D arrays of one length"):
+        ResultTable("gain-profile", "0" * 64, data)

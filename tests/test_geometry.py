@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -287,3 +288,58 @@ class TestSceneAndPartition:
         assert table.shape == (4, 4, 3)
         c = subsurface_center(small_layout, small_partition, 2, 3)
         assert np.allclose(table[1, 2], [c.x, c.y, c.z])
+
+
+class TestToElements:
+    """`SubsurfacePartition.to_elements` against the scalar references."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k_y=st.integers(1, 5), k_z=st.integers(1, 5), s=st.integers(1, 5),
+           d=st.floats(1e-4, 1e-2))
+    def test_element_is_its_center_plus_its_intra_offset(self, k_y, k_z, s, d):
+        layout = IrsLayout(k_y * s, k_z * s, d)
+        part = SubsurfacePartition.for_layout(layout, k_y, k_z)
+        centers = subsurface_centers(layout, part)
+        off = (np.arange(s) - (s - 1) / 2) * d
+        tables = np.broadcast_arrays(centers[:, :, 1, None, None] + off[:, None],
+                                     centers[:, :, 2, None, None] + off)
+        y, z = (part.to_elements(np.array(t)) for t in tables)  # full (k_y, k_z, s, s) tables
+        center_y = part.to_elements(centers[:, :, 1, None, None])
+        assert y.shape == z.shape == center_y.shape == (layout.n_elements,)
+        for iy in range(1, layout.n_y + 1):
+            for iz in range(1, layout.n_z + 1):
+                n = (iy - 1) * layout.n_z + (iz - 1)
+                (ky, a), (kz, b) = divmod(iy - 1, s), divmod(iz - 1, s)
+                c = subsurface_center(layout, part, ky + 1, kz + 1)
+                assert (y[n], z[n]) == (c.y + delta_index(a, s) * d, c.z + delta_index(b, s) * d)
+                assert center_y[n] == c.y
+                p = element_position(layout, iy, iz)
+                assert (y[n], z[n]) == pytest.approx((p.y, p.z), abs=1e-12 * d)
+
+
+LAYOUT = IrsLayout(4, 4, 1e-3)
+PARTITION = SubsurfacePartition.for_layout(LAYOUT, 2, 2)
+FOREIGN = SubsurfacePartition(3, 3, 1)
+
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda: Point3(math.inf, 0.0, 0.0), "coordinates must be finite"),
+    (lambda: IrsLayout(0, 4, 1e-3), "element counts must be >= 1"),
+    (lambda: IrsLayout(4, 4, 0.0), "element spacing d must be positive"),
+    (lambda: SubsurfacePartition(2, 0, 2), "partition counts must be >= 1"),
+    (lambda: SubsurfacePartition.for_layout(LAYOUT, 0, 2), "sub-surface counts must be >= 1"),
+    (lambda: SubsurfacePartition.for_layout(IrsLayout(4, 6, 1e-3), 2, 4),
+     "n_z=6 is not divisible by k_z=4"),
+    (lambda: Scene(Point3(1, 0, 0), Point3(2, 0, 0), LAYOUT, PARTITION).endpoint("ris"),
+     "endpoint must be 'bs' or 'user', got 'ris'"),
+    (lambda: subsurface_center(LAYOUT, FOREIGN, 1, 1), "partition does not tile the layout"),
+    (lambda: subsurface_center(LAYOUT, PARTITION, 0, 1), "ky=0 outside [1, 2]"),
+    (lambda: subsurface_center(LAYOUT, PARTITION, 1, 3), "kz=3 outside [1, 2]"),
+    (lambda: fraunhofer_distance(LAYOUT, 0.0), "wavelength must be positive"),
+    (lambda: subsurface_centers(LAYOUT, FOREIGN), "partition does not tile the layout"),
+], ids=["point-inf", "layout-count", "layout-spacing", "partition-count", "for-layout-count",
+        "for-layout-n_z", "scene-endpoint", "center-foreign", "center-ky", "center-kz",
+        "fraunhofer-wavelength", "centers-foreign"])
+def test_input_checks(build, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        build()

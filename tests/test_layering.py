@@ -1,5 +1,6 @@
 """The package depends on NumPy and the standard library only, and the scenario
-loader builds on the public names of the geometry layer alone."""
+loader builds on the public names of the geometry layer alone. No module takes a
+private name from another beyond the two private imports in place."""
 
 import ast
 import sys
@@ -40,3 +41,17 @@ def test_scenario_imports_no_private_geometry_name():
                if isinstance(node, ast.ImportFrom) and node.module == "geometry"
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_no_new_private_name_crosses_a_module_boundary():
+    """Modules import each other's public names only, apart from the two private
+    imports in place: the cascade kernel for the sweeps and the JSON writer for the CLI."""
+    private = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "irslab"
+            ):
+                private.update(f"{path.stem} <- {node.module}.{alias.name}" for alias in node.names
+                               if alias.name.startswith("_") and not alias.name.startswith("__"))
+    assert private == {"experiments <- metrics._cascade_sums", "cli <- experiments._write_json"}

@@ -239,3 +239,13 @@ def test_formats_doc_key_table_names_every_key():
         for name in re.findall(r"`([a-z_]+\.[a-z_]+)`", row.split("|")[1])
     ]
     assert sorted(documented) == sorted(scenario_keys())
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("irs.n_y = 1.5\n", "<string>:1: irs.n_y: expected an integer, got '1.5'"),
+    ("sweep.t_req_ps =\n", "sweep.t_req_ps must not be empty"),
+    ("rate.p_bs_dbm = ,\n", "rate.p_bs_dbm must not be empty"),
+], ids=["bad-integer", "empty-t-req", "empty-p-bs"])
+def test_input_checks(text, fragment):
+    with pytest.raises(ScenarioError, match=re.escape(fragment)):
+        parse_scenario(text)
