@@ -44,8 +44,6 @@ from .beamforming import (  # noqa: F401
 )
 from .metrics import (  # noqa: F401
     BeamPattern,
-    GainProfile,
-    RateResult,
     achievable_rate,
     beam_pattern,
     edge_gain,

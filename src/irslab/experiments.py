@@ -24,12 +24,11 @@ from .beamforming import (
     per_element_td_design,
     td_module_count,
 )
-from .channel import element_distances
-from .geometry import FrequencyGrid, Scene, SubsurfacePartition
+from .geometry import SubsurfacePartition
 from .metrics import (
-    _cascade_sums,
     beam_pattern,
     cascade_gain_magnitudes,
+    edge_gain,
     gain_profile,
     rates_from_gain,
 )
@@ -210,8 +209,7 @@ def run_gain_profile(
     scene, grid = scenario.scene, scenario.grid
     data = {"subcarrier_index": np.arange(grid.m_count), "frequency_ghz": grid.frequencies / 1e9}
     for name in _unique(designs):
-        profile = gain_profile(scene, grid, build_design(scenario, name))
-        data[f"gain_{_column_name(name)}"] = profile.gains
+        data[f"gain_{_column_name(name)}"] = gain_profile(scene, grid, build_design(scenario, name))
     return ResultTable("gain-profile", scenario.digest, data)
 
 
@@ -239,14 +237,6 @@ def run_beam_pattern(
     return ResultTable("beam-pattern", scenario.digest, data, comments)
 
 
-def _edge_gains(config: BeamformerConfig, scene: Scene, grid: FrequencyGrid) -> float:
-    """Smaller of the two edge-subcarrier normalized gains."""
-    f1, f_m = grid.frequencies[[0, -1]]
-    r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
-    sums = _cascade_sums(config, r_bs, r_user, f1, f_m - f1, 2)
-    return min(float(np.abs(sums).min()) / r_bs.size, 1.0)
-
-
 def run_td_count_sweep(scenario: Scenario) -> ResultTable:
     """Edge-subcarrier gain of the DLDD design versus the delta-delay module count."""
     scene, grid = scenario.scene, scenario.grid
@@ -260,7 +250,7 @@ def run_td_count_sweep(scenario: Scenario) -> ResultTable:
     data = {
         "k_t": np.array([td_module_count(part) for part in parts]),
         "edge_gain": np.array(
-            [_edge_gains(dldd_design(scene, grid, part), scene, grid) for part in parts]
+            [edge_gain(scene, grid, dldd_design(scene, grid, part)) for part in parts]
         ),
     }
     return ResultTable("td-count-sweep", scenario.digest, data)
@@ -272,7 +262,7 @@ def run_delay_range_sweep(scenario: Scenario) -> ResultTable:
     for name in ("dldd", "per-element"):
         design = build_design(scenario, name)
         data[f"edge_gain_{_column_name(name)}"] = np.array([
-            _edge_gains(replace(design, delay_cap=t), scenario.scene, scenario.grid)
+            edge_gain(scenario.scene, scenario.grid, replace(design, delay_cap=t))
             for t in scenario.t_req_seconds
         ])
     return ResultTable("delay-range-sweep", scenario.digest, data)

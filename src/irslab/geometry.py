@@ -184,7 +184,7 @@ class Scene:
         """Exact distances from every element to 'bs' and to 'user', each shape (N,) in
         row-major order; computed once, on first use, and read-only."""
         ends = np.stack([self.bs.as_array(), self.user.as_array()])[:, None, :]
-        r = np.linalg.norm(element_positions(self.layout) - ends, axis=-1)
+        r = np.sqrt(np.square(element_positions(self.layout) - ends).sum(axis=-1))
         r.flags.writeable = False
         return {"bs": r[0], "user": r[1]}
 

@@ -66,19 +66,6 @@ def _check_gains(gains: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class GainProfile:
-    """Normalized array gain per subcarrier, each value in [0, 1]."""
-
-    frequencies: np.ndarray
-    gains: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.frequencies.shape != self.gains.shape:
-            raise ValueError("frequency and gain arrays must align")
-        _check_gains(self.gains)
-
-
-@dataclass(frozen=True)
 class Peak:
     """Location and value of a beam pattern's maximum at one frequency."""
 
@@ -101,16 +88,6 @@ class BeamPattern:
 
     def __post_init__(self) -> None:
         _check_gains(self.gains)
-
-
-@dataclass(frozen=True)
-class RateResult:
-    """Per-subcarrier spectral efficiency under an equal-power OFDM budget."""
-
-    p_bs: float
-    noise_density: float
-    rates: np.ndarray
-    mean_rate: float
 
 
 def _powers(step: np.ndarray, count: int, cis: Callable[..., None]) -> np.ndarray:
@@ -212,22 +189,27 @@ def normalized_array_gain(
     """Normalized array gain (1/N)|sum of cascade phasors| at f: a one-subcarrier profile."""
     if not (np.isfinite(f) and f > 0):  # named here: the grid below would blame its f_c
         raise ValueError(f"frequency f={f!r} Hz must be finite and above 0 Hz")
-    return float(gain_profile(scene, replace(grid, f_c=f, m_count=1), config).gains[0])
+    return float(gain_profile(scene, replace(grid, f_c=f, m_count=1), config)[0])
 
 
-def gain_profile(scene: Scene, grid: FrequencyGrid, config: BeamformerConfig) -> GainProfile:
-    """Normalized array gain at every subcarrier of the grid."""
+def gain_profile(scene: Scene, grid: FrequencyGrid, config: BeamformerConfig) -> np.ndarray:
+    """Normalized array gain at every subcarrier of the grid, shape (M,), each in [0, 1]."""
     r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
     f, df = grid.frequencies, grid.bandwidth / grid.m_count
     sums = _cascade_sums(config, r_bs, r_user, f[0], df, f.size)
-    return GainProfile(frequencies=f, gains=np.minimum(np.abs(sums) / r_bs.size, 1.0))
+    gains = np.minimum(np.abs(sums) / r_bs.size, 1.0)
+    _check_gains(gains)
+    return gains
 
 
-def edge_gain(profile: GainProfile) -> float:
-    """Smaller of the two edge-subcarrier gains."""
-    if profile.gains.size < 2:
+def edge_gain(scene: Scene, grid: FrequencyGrid, config: BeamformerConfig) -> float:
+    """Smaller of the two edge-subcarrier normalized gains, from one 2-subcarrier call."""
+    if grid.m_count < 2:
         raise ValueError("edge gain needs at least two subcarriers")
-    return float(min(profile.gains[0], profile.gains[-1]))
+    f1, f_m = grid.frequencies[[0, -1]]
+    r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
+    sums = _cascade_sums(config, r_bs, r_user, f1, f_m - f1, 2)
+    return float(np.minimum(np.abs(sums) / r_bs.size, 1.0).min())
 
 
 def _worker_count() -> int:
@@ -492,17 +474,11 @@ def achievable_rate(
     config: BeamformerConfig,
     p_bs: float,
     noise_density: float,
-) -> RateResult:
-    """Mean spectral efficiency with power split equally over the subcarriers.
+) -> np.ndarray:
+    """Spectral efficiency per subcarrier, shape (M,), with power split equally over the
+    subcarriers; the mean rate is its `.mean()`.
 
     Per subcarrier: log2(1 + (P/M) |amplitude-weighted cascaded gain|^2 /
     (N0 * B/M)).
     """
-    gain_mag = cascade_gain_magnitudes(scene, grid, config)
-    rates = rates_from_gain(gain_mag, grid, p_bs, noise_density)
-    return RateResult(
-        p_bs=p_bs,
-        noise_density=noise_density,
-        rates=rates,
-        mean_rate=float(rates.mean()),
-    )
+    return rates_from_gain(cascade_gain_magnitudes(scene, grid, config), grid, p_bs, noise_density)

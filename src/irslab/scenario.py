@@ -133,6 +133,8 @@ def _digest(values: dict) -> str:
 def _resolve(values: dict, source: str) -> Scenario:
     """Build and validate every domain object of `values`, read from `source`, once."""
     v = values
+    if not v["grid.f_c_ghz"] > 0:  # before the half-wavelength spacing divides by it
+        raise ScenarioError(f"grid.f_c_ghz must be above 0 GHz, got {v['grid.f_c_ghz']!r}")
     f_c = v["grid.f_c_ghz"] * 1e9
     d = SPEED_OF_LIGHT / f_c / 2.0 if v["irs.d_m"] == HALF_WAVELENGTH else v["irs.d_m"]
     try:

@@ -88,24 +88,24 @@ def env():
 def test_criterion_01_exact_cancellation_identities(env):
     _, scene, grid, designs, profiles = env
     nb_center = normalized_array_gain(scene, grid, designs["narrowband"], grid.f_c)
-    pe_worst = float(np.abs(profiles["per-element"].gains - 1.0).max())
+    pe_worst = float(np.abs(profiles["per-element"] - 1.0).max())
     ok = abs(nb_center - 1.0) <= 1e-9 and pe_worst <= 1e-9
     report(1, ok, f"narrowband gain(f_c)={nb_center:.12f}, per-element worst |gain-1|={pe_worst:.2e}")
 
 
 def test_criterion_02_beam_split_reproduction(env):
-    _, scene, grid, designs, profiles = env
-    wide_edge = edge_gain(profiles["narrowband"])
+    _, scene, grid, designs, _ = env
+    wide_edge = edge_gain(scene, grid, designs["narrowband"])
     narrow_grid = FrequencyGrid(f_c=grid.f_c, bandwidth=0.3e9, m_count=grid.m_count)
-    narrow_edge = edge_gain(gain_profile(scene, narrow_grid, designs["narrowband"]))
+    narrow_edge = edge_gain(scene, narrow_grid, designs["narrowband"])
     ok = wide_edge <= 0.10 and narrow_edge >= 0.99
     report(2, ok, f"edge gain: B=30 GHz {wide_edge:.4f} (<=0.10), B=0.3 GHz {narrow_edge:.4f} (>=0.99)")
 
 
 def test_criterion_03_dldd_performance(env):
-    _, _, _, _, profiles = env
-    edge = edge_gain(profiles["dldd"])
-    worst = float(profiles["dldd"].gains.min())
+    _, scene, grid, designs, profiles = env
+    edge = edge_gain(scene, grid, designs["dldd"])
+    worst = float(profiles["dldd"].min())
     ok = 0.94 <= edge <= 1.0 and worst >= 0.90
     report(3, ok, f"dldd edge gain {edge:.4f} (target [0.94, 1.0]), band minimum {worst:.4f} (target >=0.90)")
 

@@ -46,11 +46,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irslab import experiments, metrics
+from irslab import metrics
 from irslab.beamforming import SignConsistencyWarning
 from irslab.channel import element_distances
 from irslab.cli import main
-from irslab.experiments import DESIGN_NAMES, _edge_gains, build_design
+from irslab.experiments import DESIGN_NAMES, build_design
 from irslab.geometry import SPEED_OF_LIGHT, FrequencyGrid
 from irslab.metrics import (
     _CIS_RANGE,
@@ -60,6 +60,7 @@ from irslab.metrics import (
     _nufft,
     _powers,
     cascade_gain_magnitudes,
+    edge_gain,
     gain_profile,
     normalized_array_gain,
 )
@@ -151,8 +152,7 @@ def test_metrics_match_direct_formula_on_the_grid(case):
     weights = 1.0 / (r_bs * r_user)
     for config in configs:
         want = direct_gains(config, r_bs, r_user, grid.c, freqs)
-        np.testing.assert_allclose(gain_profile(scene, grid, config).gains, want,
-                                   rtol=0, atol=DRIFT_TOL)
+        np.testing.assert_allclose(gain_profile(scene, grid, config), want, rtol=0, atol=DRIFT_TOL)
         got = normalized_array_gain(scene, grid, config, float(freqs[-1]))
         np.testing.assert_allclose(got, want[-1], rtol=0, atol=DRIFT_TOL)
         amplitude = (grid.c / (4 * np.pi * freqs)) ** 2
@@ -167,8 +167,12 @@ def test_edge_gains_match_direct_formula(case):
     scene, grid, r_bs, r_user, configs = scene_designs(*case)
     edges = grid.frequencies[[0, -1]]
     for config in configs:
+        if grid.m_count < 2:
+            with pytest.raises(ValueError, match="needs at least two subcarriers"):
+                edge_gain(scene, grid, config)
+            continue
         want = direct_gains(config, r_bs, r_user, grid.c, edges).min()
-        got = _edge_gains(config, scene, grid)
+        got = edge_gain(scene, grid, config)
         assert abs(got - want) <= DRIFT_TOL
 
 
@@ -217,7 +221,7 @@ def test_swapping_bs_and_user_keeps_the_wideband_metrics(name):
             configs = [build_design(replace(scenario, scene=scene, grid=grid), design)
                        for design in DESIGN_NAMES]
         configs += [replace(config, delay_cap=9e-12) for config in configs[1:]]
-        runs.append([(gain_profile(scene, grid, config).gains,
+        runs.append([(gain_profile(scene, grid, config),
                       cascade_gain_magnitudes(scene, grid, config)) for config in configs])
     for (gains, mags), (swapped_gains, swapped_mags) in zip(*runs):
         np.testing.assert_allclose(swapped_gains, gains, rtol=0, atol=DRIFT_TOL)
@@ -301,7 +305,6 @@ def test_phases_beyond_the_table_range_take_libm_exp(tmp_path, monkeypatch):
     outputs = []
     for kernel in (_cascade_sums, libm_cascade_sums):
         monkeypatch.setattr(metrics, "_cascade_sums", kernel)
-        monkeypatch.setattr(experiments, "_cascade_sums", kernel)
         for command in ("gain-profile", "rate-sweep", "td-count-sweep", "delay-range-sweep"):
             out = tmp_path / f"{command}.csv"
             assert main([command, "--scenario", str(scn), "--out", str(out)]) == 0

@@ -1,12 +1,20 @@
 """The package depends on NumPy and the standard library only, and the scenario
 loader builds on the public names of the geometry layer alone. No module takes a
-private name from another beyond the two private imports in place."""
+private name from another beyond the one private import in place, and every
+dotted irslab name the README and docs/ cite exists."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
+import re
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "irslab"
+import irslab
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "irslab"
 
 
 def _imports(path: Path) -> list[tuple[int, str]]:
@@ -44,8 +52,8 @@ def test_scenario_imports_no_private_geometry_name():
 
 
 def test_no_new_private_name_crosses_a_module_boundary():
-    """Modules import each other's public names only, apart from the two private
-    imports in place: the cascade kernel for the sweeps and the JSON writer for the CLI."""
+    """Modules import each other's public names only, apart from the one private
+    import in place: the JSON writer for the CLI."""
     private = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -54,4 +62,38 @@ def test_no_new_private_name_crosses_a_module_boundary():
             ):
                 private.update(f"{path.stem} <- {node.module}.{alias.name}" for alias in node.names
                                if alias.name.startswith("_") and not alias.name.startswith("__"))
-    assert private == {"experiments <- metrics._cascade_sums", "cli <- experiments._write_json"}
+    assert private == {"cli <- experiments._write_json"}
+
+
+def _names_something(ref: str) -> bool | None:
+    """Whether a dotted name such as `metrics._cascade_sums` or `Scene.element_distances`
+    exists in irslab; None when its head is neither an irslab module nor a class the
+    package exports (a scenario key such as `grid.f_c_ghz`, or `np.bincount`)."""
+    head, *rest = ref.split(".")
+    if head == "irslab" and rest:
+        head, *rest = rest
+    if (SRC / f"{head}.py").is_file():
+        obj = importlib.import_module(f"irslab.{head}")
+    elif inspect.isclass(getattr(irslab, head, None)):
+        obj = getattr(irslab, head)
+    else:
+        return None
+    for i, name in enumerate(rest):
+        if hasattr(obj, name):
+            obj = getattr(obj, name)
+        else:  # a dataclass field without a default is no class attribute
+            fields = dataclasses.fields(obj) if dataclasses.is_dataclass(obj) else ()
+            return i == len(rest) - 1 and name in {f.name for f in fields}
+    return True
+
+
+def test_every_cited_name_exists():
+    """A backticked dotted name in the README or docs/ that starts at an irslab module or
+    exported class must resolve, so the prose cannot outlive a renamed or deleted name."""
+    stale = [
+        f"{path.relative_to(ROOT)}: {ref}"
+        for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+        for ref in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", path.read_text())
+        if _names_something(ref) is False
+    ]
+    assert stale == []

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from irslab import metrics
 from irslab.beamforming import (
     BeamformerConfig,
+    PerElementDelayConfig,
     PhaseShiftConfig,
     dldd_design,
     narrowband_design,
@@ -19,7 +22,6 @@ from irslab.geometry import FrequencyGrid, Point3
 from irslab.metrics import (
     BeamPattern,
     EvaluationPlane,
-    GainProfile,
     achievable_rate,
     beam_pattern,
     cascade_gain_magnitudes,
@@ -87,58 +89,57 @@ class TestNormalizedArrayGain:
 class TestGainProfile:
     def test_per_element_profile_is_flat_unity(self, small_scene, small_grid):
         config = per_element_td_design(small_scene, small_grid)
-        profile = gain_profile(small_scene, small_grid, config)
-        assert np.all(np.abs(profile.gains - 1.0) < 1e-9)
+        gains = gain_profile(small_scene, small_grid, config)
+        assert gains.shape == (small_grid.m_count,)
+        assert np.all(np.abs(gains - 1.0) < 1e-9)
 
     def test_narrowband_peaks_at_center(self, small_scene, small_grid):
         config = narrowband_design(small_scene, small_grid)
-        profile = gain_profile(small_scene, small_grid, config)
-        mid = profile.gains[small_grid.m_count // 2 - 1 : small_grid.m_count // 2 + 1]
-        assert mid.min() > profile.gains[0]
-        assert mid.min() > profile.gains[-1]
+        gains = gain_profile(small_scene, small_grid, config)
+        mid = gains[small_grid.m_count // 2 - 1 : small_grid.m_count // 2 + 1]
+        assert mid.min() > gains[0]
+        assert mid.min() > gains[-1]
 
     def test_beam_split_worsens_with_bandwidth(self, small_scene):
         edges = []
         for bw in (0.3e9, 3e9, 30e9):
             grid = FrequencyGrid(f_c=300e9, bandwidth=bw, m_count=16)
             config = narrowband_design(small_scene, grid)
-            edges.append(edge_gain(gain_profile(small_scene, grid, config)))
+            edges.append(edge_gain(small_scene, grid, config))
         assert edges[0] > edges[1] > edges[2]
         assert edges[0] > 0.99
 
     def test_profile_matches_pointwise_gain(self, small_scene, small_grid):
         config = dldd_design(small_scene, small_grid)
-        profile = gain_profile(small_scene, small_grid, config)
+        gains = gain_profile(small_scene, small_grid, config)
         for m in (0, 7, 15):
             f = float(small_grid.frequencies[m])
-            assert profile.gains[m] == pytest.approx(
+            assert gains[m] == pytest.approx(
                 normalized_array_gain(small_scene, small_grid, config, f), abs=1e-12
             )
 
-    def test_invalid_gain_profile_rejected(self):
-        with pytest.raises(ValueError):
-            GainProfile(frequencies=np.array([1.0, 2.0]), gains=np.array([0.5, 1.5]))
-
-    def test_nan_gain_profile_rejected(self):
-        with pytest.raises(ValueError):
-            GainProfile(frequencies=np.array([1.0, 2.0]), gains=np.array([0.5, np.nan]))
+    def test_sums_above_the_element_count_clamp_to_one(self, small_scene, small_grid, monkeypatch):
+        n = small_scene.layout.n_elements
+        sums = np.array([1.5 * n, 0.5j * n])
+        monkeypatch.setattr(metrics, "_cascade_sums", lambda *args: sums)
+        grid = replace(small_grid, m_count=2)
+        config = narrowband_design(small_scene, grid)
+        assert gain_profile(small_scene, grid, config).tolist() == [1.0, 0.5]
+        assert edge_gain(small_scene, grid, config) == 0.5
 
 
 class TestEdgeGain:
-    def test_flat_profile(self):
-        p = GainProfile(frequencies=np.array([1e9, 2e9]), gains=np.array([1.0, 1.0]))
-        assert edge_gain(p) == 1.0
+    def test_flat_profile(self, small_scene, small_grid):
+        config = per_element_td_design(small_scene, small_grid)
+        assert edge_gain(small_scene, small_grid, config) == pytest.approx(1.0, abs=1e-9)
 
-    def test_min_of_extremes(self):
-        p = GainProfile(
-            frequencies=np.array([1e9, 2e9, 3e9]), gains=np.array([0.3, 0.9, 0.5])
-        )
-        assert edge_gain(p) == pytest.approx(0.3)
-
-    def test_needs_two_subcarriers(self):
-        p = GainProfile(frequencies=np.array([1e9]), gains=np.array([1.0]))
-        with pytest.raises(ValueError):
-            edge_gain(p)
+    def test_min_of_extremes(self, small_scene, small_grid):
+        # one 2-subcarrier kernel call against the ends of the full profile
+        for design in (narrowband_design, dldd_design, per_element_td_design):
+            config = design(small_scene, small_grid)
+            gains = gain_profile(small_scene, small_grid, config)
+            got = edge_gain(small_scene, small_grid, config)
+            assert got == pytest.approx(min(gains[0], gains[-1]), abs=1e-12)
 
 
 class TestEvaluationPlane:
@@ -193,11 +194,11 @@ class TestBeamPattern:
         plane = EvaluationPlane(
             x_min=user.x, x_max=user.x, y_min=user.y, y_max=user.y, z=user.z, n_x=1, n_y=1
         )
-        profile = gain_profile(small_scene, small_grid, config)
+        gains = gain_profile(small_scene, small_grid, config)
         for m in (0, 15):
             f = float(small_grid.frequencies[m])
             pattern = beam_pattern(small_scene, small_grid, config, [f], plane)
-            assert pattern.gains[0, 0, 0] == pytest.approx(profile.gains[m], abs=1e-12)
+            assert pattern.gains[0, 0, 0] == pytest.approx(gains[m], abs=1e-12)
 
     def test_focus_peak_lands_on_user(self, small_scene, small_grid):
         config = narrowband_design(small_scene, small_grid)
@@ -246,7 +247,7 @@ class TestAchievableRate:
         config = narrowband_design(small_scene, small_grid)
         noise = 10 ** ((-174 - 30) / 10)
         means = [
-            achievable_rate(small_scene, small_grid, config, p, noise).mean_rate
+            achievable_rate(small_scene, small_grid, config, p, noise).mean()
             for p in (1e-3, 1e-1, 10.0, 1e3)
         ]
         assert all(a < b for a, b in zip(means, means[1:]))
@@ -254,22 +255,23 @@ class TestAchievableRate:
     def test_vanishing_power_vanishing_rate(self, small_scene, small_grid):
         config = per_element_td_design(small_scene, small_grid)
         noise = 10 ** ((-174 - 30) / 10)
-        result = achievable_rate(small_scene, small_grid, config, 1e-30, noise)
-        assert result.mean_rate < 1e-6
-        assert np.all(result.rates >= 0)
+        rates = achievable_rate(small_scene, small_grid, config, 1e-30, noise)
+        assert rates.shape == (small_grid.m_count,)
+        assert rates.mean() < 1e-6
+        assert np.all(rates >= 0)
 
     def test_design_ordering(self, small_scene, small_grid):
         noise = 10 ** ((-174 - 30) / 10)
         p = 1.0
         r_nb = achievable_rate(
             small_scene, small_grid, narrowband_design(small_scene, small_grid), p, noise
-        ).mean_rate
+        ).mean()
         r_dl = achievable_rate(
             small_scene, small_grid, dldd_design(small_scene, small_grid), p, noise
-        ).mean_rate
+        ).mean()
         r_pe = achievable_rate(
             small_scene, small_grid, per_element_td_design(small_scene, small_grid), p, noise
-        ).mean_rate
+        ).mean()
         assert r_pe >= r_dl - 1e-12
         assert r_dl >= r_nb - 1e-12
 
@@ -355,3 +357,23 @@ class TestBeamPatternMemory:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+def overflowing_delays(scene, grid):
+    """A per-element design whose finite delays overflow every cascade phase to NaN."""
+    config = per_element_td_design(scene, grid)
+    tau = np.full(scene.layout.n_elements, 1e300)
+    return replace(config, delay_network=PerElementDelayConfig(tau))
+
+
+@pytest.mark.parametrize("run, fragment", [
+    (lambda scene, grid: edge_gain(scene, replace(grid, m_count=1), narrowband_design(scene, grid)),
+     "edge gain needs at least two subcarriers"),
+    (lambda scene, grid: gain_profile(scene, grid, overflowing_delays(scene, grid)),
+     "gains must lie in [0, 1]"),
+], ids=["edge-gain-one-subcarrier", "gain-profile-nan"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_input_checks(small_scene, small_grid, run, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        run(small_scene, small_grid)

@@ -150,7 +150,7 @@ def test_normalized_gain_and_profile_match_oracle(text):
     scene, grid = scenario.scene, scenario.grid
     for config in designs(scenario).values():
         want = [oracle_gain(scene, grid, config, float(f)) for f in grid.frequencies]
-        got = gain_profile(scene, grid, config).gains
+        got = gain_profile(scene, grid, config)
         np.testing.assert_allclose(got, want, rtol=0, atol=ORACLE_TOL)
         for f, w in zip(grid.frequencies[[0, -1]], (want[0], want[-1])):
             assert normalized_array_gain(scene, grid, config, float(f)) == pytest.approx(

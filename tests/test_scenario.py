@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from irslab.cli import main
 from irslab.geometry import SPEED_OF_LIGHT, PanelPlaneWarning
 from irslab.scenario import (
     Scenario,
@@ -95,6 +96,21 @@ class TestValidation:
     def test_band_reaching_zero_hz_rejected(self):
         with pytest.raises(ScenarioError, match="lowest subcarrier"):
             parse_scenario("grid.f_c_ghz = 10\ngrid.bandwidth_ghz = 30\n")
+
+    @pytest.mark.parametrize("ghz", ["0", "-0.0", "-300"])
+    def test_non_positive_center_frequency_named(self, ghz):
+        # checked before the half-wavelength spacing divides by it
+        message = f"grid.f_c_ghz must be above 0 GHz, got {float(ghz)!r}"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            parse_scenario(f"grid.f_c_ghz = {ghz}\n")
+
+    @pytest.mark.parametrize("ghz", ["0", "-0.0", "-300"])
+    def test_non_positive_center_frequency_is_one_cli_error(self, tmp_path, capsys, ghz):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(f"grid.f_c_ghz = {ghz}\n")
+        assert main(["gain-profile", "--scenario", str(scn), "--out", str(tmp_path / "g.csv")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: grid.f_c_ghz must be above 0 GHz, got {float(ghz)!r}"]
 
     def test_negative_t_req_rejected(self):
         with pytest.raises(ScenarioError, match="t_req"):
