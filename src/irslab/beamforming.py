@@ -93,10 +93,6 @@ class DlddDelayNetwork:
         """Signed delay per element, shape (N,): each sub-surface's cumulative delay."""
         return self.partition.to_elements(self.cumulative_delays(clamp)[:, :, None, None])
 
-    def max_module_delay(self) -> float:
-        """Largest routed delta a single module must realize, seconds (0 without modules)."""
-        return float(self.module_delays().max(initial=0.0))
-
     def as_dict(self) -> dict:
         """The top-level export keys of this network: its partition, then the network."""
         p = self.partition
@@ -125,9 +121,9 @@ class PerElementDelayConfig:
         """The dedicated delays, each saturated at `clamp`."""
         return _saturate(self.tau, clamp)
 
-    def max_module_delay(self) -> float:
-        """Largest dedicated element delay magnitude, seconds."""
-        return float(np.abs(self.tau).max())
+    def module_delays(self) -> np.ndarray:
+        """Physical (routed, non-negative) delay of every element's module."""
+        return np.abs(self.tau)
 
     def as_dict(self) -> dict:
         """The top-level export key of this network."""
@@ -247,6 +243,12 @@ def _family_signs(values: np.ndarray) -> tuple[bool, int]:
     return False, 1 if pos.sum() >= neg.sum() else -1
 
 
+def _dldd_deltas(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First-layer (row to row, down the first column) and second-layer (along each row)
+    deltas of per-sub-surface delays tau, shape (k_y, k_z)."""
+    return tau[1:, 0] - tau[:-1, 0], tau[:, 1:] - tau[:, :-1]
+
+
 def sign_consistency_check(decomp: CascadedDecomposition) -> SignReport:
     """Verify the sign structure the 2-output switches rely on.
 
@@ -256,8 +258,7 @@ def sign_consistency_check(decomp: CascadedDecomposition) -> SignReport:
     error, and the offending modules are named in the report.
     """
     tau = required_subsurface_delays(decomp)
-    first = tau[1:, 0] - tau[:-1, 0]
-    second = tau[:, 1:] - tau[:, :-1]
+    first, second = _dldd_deltas(tau)
 
     offending: list[str] = []
     all_ok = True
@@ -289,7 +290,6 @@ def dldd_design(
     if partition is None:
         partition = scene.partition
     decomp = cascaded_decomposition(scene, partition)
-    tau = required_subsurface_delays(decomp)
     report = sign_consistency_check(decomp)
     if not report.consistent:
         warnings.warn(
@@ -300,12 +300,8 @@ def dldd_design(
             ),
             stacklevel=2,
         )
-    network = DlddDelayNetwork(
-        partition=partition,
-        first_layer=tau[1:, 0] - tau[:-1, 0],
-        second_layer=tau[:, 1:] - tau[:, :-1],
-        switch_sign=report.sign,
-    )
+    first, second = _dldd_deltas(required_subsurface_delays(decomp))
+    network = DlddDelayNetwork(partition, first, second, switch_sign=report.sign)
     theta = _wrap_phase(-2 * np.pi * grid.f_c / grid.c * decomp.intra_delta_phi)
     return BeamformerConfig(
         design="dldd",
@@ -363,11 +359,9 @@ def td_module_count(partition: SubsurfacePartition) -> int:
 
 
 def required_delay_range(config: BeamformerConfig) -> float:
-    """Largest delay magnitude a single module must realize, seconds.
-
-    For the DLDD network that is the largest routed delta; for the
-    per-element benchmark the largest dedicated element delay.
-    """
+    """Largest delay magnitude a single module must realize, seconds: the largest of the
+    network's `module_delays()` (0 without modules), a routed delta for the DLDD network
+    and a dedicated element delay for the per-element benchmark."""
     if config.delay_network is None:
         raise ValueError("configuration has no delay network")
-    return config.delay_network.max_module_delay()
+    return float(config.delay_network.module_delays().max(initial=0.0))

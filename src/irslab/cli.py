@@ -2,8 +2,8 @@
 
 Subcommands mirror the runners: gain-profile, beam-pattern, td-count-sweep,
 delay-range-sweep, rate-sweep, plus export-config for the beamformer JSON.
-Exit status is 0 on success, 1 on scenario/validation errors or an unwritable
-output path, and 2 on usage errors.
+Exit status is 0 on success, 1 on scenario/validation errors, an unwritable
+output path or a failed allocation, and 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _, runner = COMMANDS[args.command]
     try:
         path = _write(runner(load_scenario(args.scenario), args), args.out, args.format)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {path}")

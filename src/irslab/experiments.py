@@ -183,7 +183,7 @@ def resolve_frequencies(scenario: Scenario, tokens: Sequence[str | float]) -> li
     Tokens may come in any order, but no two may resolve to the same frequency.
     """
     grid = scenario.grid
-    named = {"f1": grid.frequencies[0], "fc": grid.f_c, "fM": grid.frequencies[-1]}
+    named = {"f1": grid.frequency(0), "fc": grid.f_c, "fM": grid.frequency(grid.m_count - 1)}
     out: dict[float, str | float] = {}
     for tok in tokens:
         try:
@@ -220,19 +220,20 @@ def run_beam_pattern(
 ) -> ResultTable:
     """Gain over the scenario's evaluation plane, long format, peaks appended."""
     config = build_design(scenario, design)
+    plane = scenario.plane
     freqs = resolve_frequencies(scenario, frequencies)
-    pattern = beam_pattern(scenario.scene, scenario.grid, config, freqs, scenario.plane)
-    xs, ys = pattern.plane.x_coords(), pattern.plane.y_coords()
+    pattern = beam_pattern(scenario.scene, scenario.grid, config, freqs, plane)
+    xs, ys = plane.x_coords(), plane.y_coords()
     data = {
-        "frequency_ghz": np.repeat(pattern.frequencies / 1e9, xs.size * ys.size),
+        "frequency_ghz": np.repeat(np.array(freqs) / 1e9, xs.size * ys.size),
         "x_m": np.tile(np.repeat(xs, ys.size), len(freqs)),
         "y_m": np.tile(ys, len(freqs) * xs.size),
         "gain": pattern.gains.ravel(),
     }
     comments = tuple(
         "peak: frequency_ghz=%s x_m=%s y_m=%s gain=%s ix=%d iy=%d"
-        % (repr(p.frequency / 1e9), repr(p.x), repr(p.y), repr(p.gain), p.ix, p.iy)
-        for p in pattern.peaks
+        % (repr(f / 1e9), repr(p.x), repr(p.y), repr(p.gain), p.ix, p.iy)
+        for f, p in zip(freqs, pattern.peaks)
     )
     return ResultTable("beam-pattern", scenario.digest, data, comments)
 

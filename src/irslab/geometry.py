@@ -140,7 +140,7 @@ class FrequencyGrid:
             raise ValueError("bandwidth must be positive")
         if self.m_count < 1:
             raise ValueError("subcarrier count must be >= 1")
-        lowest = self.frequencies[0]
+        lowest = self.frequency(0)
         if lowest <= 0:
             raise ValueError(f"lowest subcarrier at {lowest / 1e9:g} GHz must be above 0 GHz")
 
@@ -149,11 +149,15 @@ class FrequencyGrid:
         """Wavelength at the center frequency, meters."""
         return self.c / self.f_c
 
+    def frequency(self, m: int | np.ndarray) -> float | np.ndarray:
+        """Frequency in Hz of subcarrier m (0-based), or of each index of an index array;
+        the band edges are frequency(0) and frequency(m_count - 1), with no band built."""
+        return self.f_c + (self.bandwidth / self.m_count) * (m - (self.m_count - 1) / 2)
+
     @property
     def frequencies(self) -> np.ndarray:
         """All subcarrier frequencies in Hz, strictly increasing."""
-        m = np.arange(self.m_count, dtype=float)
-        return self.f_c + (self.bandwidth / self.m_count) * (m - (self.m_count - 1) / 2)
+        return self.frequency(np.arange(self.m_count, dtype=float))
 
 
 @dataclass(frozen=True)

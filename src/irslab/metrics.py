@@ -65,11 +65,17 @@ def _check_gains(gains: np.ndarray) -> None:
         raise ValueError("gains must lie in [0, 1]")
 
 
+def _normalized_gains(sums: np.ndarray, n: int) -> np.ndarray:
+    """Normalized gains min(|sum| / n, 1) of kernel sums over n elements, checked."""
+    gains = np.minimum(np.abs(sums) / n, 1.0)
+    _check_gains(gains)
+    return gains
+
+
 @dataclass(frozen=True)
 class Peak:
-    """Location and value of a beam pattern's maximum at one frequency."""
+    """Location and value of a beam pattern's maximum at one of its frequencies."""
 
-    frequency: float
     x: float
     y: float
     gain: float
@@ -79,10 +85,8 @@ class Peak:
 
 @dataclass(frozen=True)
 class BeamPattern:
-    """Gain over an evaluation plane for a set of frequencies, shape (F, n_x, n_y)."""
+    """Gains over an evaluation plane, shape (F, n_x, n_y), and each frequency's peak."""
 
-    plane: EvaluationPlane
-    frequencies: np.ndarray
     gains: np.ndarray
     peaks: tuple[Peak, ...]
 
@@ -195,21 +199,19 @@ def normalized_array_gain(
 def gain_profile(scene: Scene, grid: FrequencyGrid, config: BeamformerConfig) -> np.ndarray:
     """Normalized array gain at every subcarrier of the grid, shape (M,), each in [0, 1]."""
     r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
-    f, df = grid.frequencies, grid.bandwidth / grid.m_count
-    sums = _cascade_sums(config, r_bs, r_user, f[0], df, f.size)
-    gains = np.minimum(np.abs(sums) / r_bs.size, 1.0)
-    _check_gains(gains)
-    return gains
+    df = grid.bandwidth / grid.m_count
+    sums = _cascade_sums(config, r_bs, r_user, grid.frequency(0), df, grid.m_count)
+    return _normalized_gains(sums, r_bs.size)
 
 
 def edge_gain(scene: Scene, grid: FrequencyGrid, config: BeamformerConfig) -> float:
     """Smaller of the two edge-subcarrier normalized gains, from one 2-subcarrier call."""
     if grid.m_count < 2:
         raise ValueError("edge gain needs at least two subcarriers")
-    f1, f_m = grid.frequencies[[0, -1]]
+    f1, f_m = grid.frequency(0), grid.frequency(grid.m_count - 1)
     r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
     sums = _cascade_sums(config, r_bs, r_user, f1, f_m - f1, 2)
-    return float(np.minimum(np.abs(sums) / r_bs.size, 1.0).min())
+    return float(_normalized_gains(sums, r_bs.size).min())
 
 
 def _worker_count() -> int:
@@ -286,7 +288,7 @@ def _plane_sums(
     r: np.ndarray, ks: np.ndarray, weights: np.ndarray, triple: tuple[int, int, int] | None,
     cis: Callable[..., None], floats: np.ndarray, phasor: np.ndarray, step: np.ndarray | None,
 ) -> np.ndarray:
-    """|sum over the elements of exp(j k_i r_pn) w_cin| for distances r of shape (P, N).
+    """Sums over the elements of exp(j k_i r_pn) w_cin for distances r of shape (P, N).
 
     Returns shape (C, F, P) for weights of shape (C, F, N). cis is `_cis` or
     `_cis_exp`. r is overwritten, and so are the scratch tables: floats of shape
@@ -307,7 +309,7 @@ def _plane_sums(
             np.multiply(r, k, out=theta)
             cis(theta, phasor, a, b)
             sums[:, i] = np.einsum("pn,cn->cp", phasor, weights[:, i])
-        return np.abs(sums)
+        return sums
     lo, mid, hi = triple
     delta = floats[3]
     np.multiply(r, ks[mid], out=theta)  # theta_p
@@ -328,7 +330,7 @@ def _plane_sums(
     step.real -= theta
     step.imag += r
     sums[:, hi] = np.einsum("pn,cn->cp", step, weights[:, hi])
-    return np.abs(sums)
+    return sums
 
 
 def multi_beam_pattern(
@@ -347,8 +349,9 @@ def multi_beam_pattern(
     f_p - d, f_p, f_p + d (any order, d < f_p / 2) takes 2 complex exponentials
     per chunk instead of 3; see `_plane_sums`. Each exponential is `_cis` when
     the largest phase, bounded from the plane and panel corners, is within
-    _CIS_RANGE, and libm's exp otherwise. Gains do not depend on the chunk
-    size, the worker count or the BLAS build.
+    _CIS_RANGE, and libm's exp otherwise. The workers write complex sums, and
+    one checked reduction turns the whole block into gains after they join.
+    Gains do not depend on the chunk size, the worker count or the BLAS build.
     """
     freqs = np.asarray(list(frequencies), dtype=float)
     if freqs.size == 0:
@@ -392,7 +395,7 @@ def multi_beam_pattern(
         (np.empty((n_float, rows, r_bs.size)), np.empty((n_complex, rows, r_bs.size), dtype=complex))
         for _ in range(workers)
     ]
-    sums = np.empty((len(configs), freqs.size, n_pts))
+    sums = np.empty((len(configs), freqs.size, n_pts), dtype=complex)
 
     def share_sums(w: int) -> None:
         float_buf, table_buf = scratch[w]
@@ -416,18 +419,12 @@ def multi_beam_pattern(
     with ThreadPoolExecutor(workers) as pool:
         list(pool.map(share_sums, range(workers)))  # re-raises the first worker exception
 
-    out = {}
-    for name, s in zip(configs, sums):
-        g = np.minimum(s.reshape(freqs.size, plane.n_x, plane.n_y) / r_bs.size, 1.0)
-        peaks = []
-        for i, f in enumerate(freqs):
-            ix, iy = np.unravel_index(int(np.argmax(g[i])), g[i].shape)
-            peaks.append(
-                Peak(frequency=float(f), x=float(xs[ix]), y=float(ys[iy]),
-                     gain=float(g[i, ix, iy]), ix=int(ix), iy=int(iy))
-            )
-        out[name] = BeamPattern(plane=plane, frequencies=freqs, gains=g, peaks=tuple(peaks))
-    return out
+    def peak(g: np.ndarray) -> Peak:  # the first largest gain of one frequency's plane
+        ix, iy = np.unravel_index(int(np.argmax(g)), g.shape)
+        return Peak(float(xs[ix]), float(ys[iy]), float(g[ix, iy]), int(ix), int(iy))
+
+    gains = _normalized_gains(sums, r_bs.size).reshape(*sums.shape[:2], plane.n_x, plane.n_y)
+    return {name: BeamPattern(g, tuple(map(peak, g))) for name, g in zip(configs, gains)}
 
 
 def beam_pattern(
@@ -444,7 +441,7 @@ def beam_pattern(
 def cascade_gain_magnitudes(
     scene: Scene, grid: FrequencyGrid, config: BeamformerConfig
 ) -> np.ndarray:
-    """|amplitude-weighted cascaded gain| per subcarrier, shape (M,).
+    """|amplitude-weighted cascaded gain| per subcarrier, shape (M,), checked to be finite.
 
     Uses the un-normalized channel amplitudes alpha_m/r on both hops, so the
     result is the magnitude of the end-to-end complex gain.
@@ -452,7 +449,10 @@ def cascade_gain_magnitudes(
     r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
     f, df = grid.frequencies, grid.bandwidth / grid.m_count
     sums = _cascade_sums(config, r_bs, r_user, f[0], df, f.size, 1 / (r_bs * r_user))
-    return (grid.c / (4.0 * np.pi * f)) ** 2 * np.abs(sums)
+    magnitudes = (grid.c / (4.0 * np.pi * f)) ** 2 * np.abs(sums)
+    if not np.all(np.isfinite(magnitudes)):
+        raise ValueError("gain magnitudes must be finite")
+    return magnitudes
 
 
 def rates_from_gain(

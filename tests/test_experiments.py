@@ -529,6 +529,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_failed_allocation_exits_nonzero(self, scenario_file, tmp_path, capsys,
+                                             monkeypatch):
+        # NumPy's failed allocation is a MemoryError subclass; none is made for real here,
+        # since whether a huge request fails at once depends on the machine
+        message = "Unable to allocate 74.5 GiB for an array with shape (10000000000,)"
+
+        def failing(sc, args):
+            raise MemoryError(message)
+
+        monkeypatch.setitem(cli.COMMANDS, "gain-profile", ("fails", failing))
+        out = tmp_path / "gp.csv"
+        assert main(["gain-profile", "--scenario", str(scenario_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_export_config_has_no_format_option(self, scenario_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main([

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -259,6 +260,26 @@ class TestFrequencyGrid:
         # the second grid puts its lowest subcarrier exactly at 0 Hz
         with pytest.raises(ValueError, match="lowest subcarrier"):
             FrequencyGrid(f_c=f_c, bandwidth=bandwidth, m_count=m_count)
+
+    def test_building_a_grid_builds_no_band(self):
+        # checking the lowest subcarrier from the whole band traced 8 MB here
+        tracemalloc.start()
+        try:
+            FrequencyGrid(f_c=300e9, bandwidth=30e9, m_count=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+
+    @given(f_c=st.floats(1e6, 1e13), ratio=st.floats(1e-6, 1.9), m_count=st.integers(1, 5000))
+    @settings(max_examples=200, deadline=None)
+    def test_frequency_is_the_band_bit_for_bit(self, f_c, ratio, m_count):
+        # a bandwidth below 2 f_c keeps the lowest subcarrier above 0 Hz
+        grid = FrequencyGrid(f_c=f_c, bandwidth=ratio * f_c, m_count=m_count)
+        band = grid.frequencies
+        assert grid.frequency(0) == band[0]
+        assert grid.frequency(m_count - 1) == band[-1]
+        assert np.array_equal(grid.frequency(np.arange(m_count)), band)
 
 
 class TestSceneAndPartition:

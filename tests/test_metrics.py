@@ -169,9 +169,8 @@ class TestEvaluationPlane:
 
 class TestBeamPattern:
     def test_nan_gains_rejected(self):
-        plane = EvaluationPlane(x_min=1, x_max=2, y_min=0, y_max=1, z=0, n_x=1, n_y=2)
         with pytest.raises(ValueError):
-            BeamPattern(plane, np.array([3e11]), np.array([[[0.5, np.nan]]]), peaks=())
+            BeamPattern(np.array([[[0.5, np.nan]]]), peaks=())
 
     @pytest.mark.parametrize(
         "freqs, named",
@@ -366,12 +365,30 @@ def overflowing_delays(scene, grid):
     return replace(config, delay_network=PerElementDelayConfig(tau))
 
 
+def on_overflow(metric, *args):
+    """metric(scene, grid, config, *args) on the overflowing design."""
+    return lambda scene, grid: metric(scene, grid, overflowing_delays(scene, grid), *args)
+
+
+GAINS, MAGNITUDES = "gains must lie in [0, 1]", "gain magnitudes must be finite"
+PLANE = EvaluationPlane(x_min=1, x_max=2, y_min=0, y_max=1, z=0, n_x=2, n_y=2)
+
+
+# every public metric checks its output: phases that overflow to NaN raise, not return NaN
 @pytest.mark.parametrize("run, fragment", [
     (lambda scene, grid: edge_gain(scene, replace(grid, m_count=1), narrowband_design(scene, grid)),
      "edge gain needs at least two subcarriers"),
-    (lambda scene, grid: gain_profile(scene, grid, overflowing_delays(scene, grid)),
-     "gains must lie in [0, 1]"),
-], ids=["edge-gain-one-subcarrier", "gain-profile-nan"])
+    (on_overflow(gain_profile), GAINS),
+    (on_overflow(normalized_array_gain, 3e11), GAINS),
+    (on_overflow(edge_gain), GAINS),
+    (on_overflow(beam_pattern, [3e11], PLANE), GAINS),
+    (lambda scene, grid: multi_beam_pattern(
+        scene, grid, {"pe": overflowing_delays(scene, grid)}, [3e11], PLANE), GAINS),
+    (on_overflow(cascade_gain_magnitudes), MAGNITUDES),
+    (on_overflow(achievable_rate, 1.0, 1e-20), MAGNITUDES),
+], ids=["edge-gain-one-subcarrier", "gain-profile-nan", "normalized-array-gain-nan",
+        "edge-gain-nan", "beam-pattern-nan", "multi-beam-pattern-nan",
+        "cascade-gain-magnitudes-nan", "achievable-rate-nan"])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_input_checks(small_scene, small_grid, run, fragment):
