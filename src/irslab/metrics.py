@@ -5,7 +5,7 @@ which model a beamformer was designed from. Per-subcarrier gains come from
 one cascade kernel (`_cascade_sums`). Below _NUFFT_FROM subcarriers it is a BLAS
 matrix product of block-start and offset phasor tables, each built by doubling
 from ~log2 of its length exponentials (`_powers`); from there on, a non-uniform
-FFT (`_nufft`) built from `np.bincount` and NumPy's FFT, with no BLAS and a cost
+FFT (`_nufft`) built from `np.add.reduceat` and NumPy's FFT, with no BLAS and a cost
 nearly flat in the subcarrier count. The beam pattern (`multi_beam_pattern`) runs
 chunks of plane points, sized by one byte budget, on a thread per usable CPU, and
 sums each point over the elements with `np.einsum`: no BLAS, so its gains do not
@@ -46,11 +46,11 @@ _CIS_SHIFT = 1.5 * 2**52  # x + SHIFT - SHIFT is rint(x) for |x| < 2**51
 _CIS_TABLE = np.exp(2j * np.pi / _CIS_M * np.arange(_CIS_M // 4))
 _CIS_TABLE = np.concatenate([_CIS_TABLE, 1j * _CIS_TABLE, -_CIS_TABLE, -1j * _CIS_TABLE])
 
-# subcarrier count from which `_cascade_sums` takes `_nufft`: on 10^4 elements (2-core
-# Intel Xeon with AVX-512, NumPy 2.4.6 on scipy-openblas 0.3.31, quartiles of 120 calls)
-# the doubling path took 3.5-3.7 ms against 3.6-3.8 at 256 subcarriers (16 x 16 tables),
-# 3.8-4.1 against 3.4-3.7 at 257, 3.9-4.1 against 3.5-3.8 at 272 and 14-16 against
-# 4.1-4.5 at 2048
+# subcarrier count from which `_cascade_sums` takes `_nufft`, kept above every bundled
+# digest's count: on the default DLDD design (10^4 elements, 2-core Xeon with AVX-512, NumPy 2.4.6,
+# quartiles of 120 alternating calls) the doubling path took 1.1-1.7 ms against 1.5-2.1 at
+# 16 subcarriers, 1.9-2.8 against 1.7-2.5 at 32, 2.8-3.1 against 1.5-1.9 at 128, 3.5-3.9
+# against 1.5-1.9 at 256 and 8.9-9.3 against 1.6-2.2 at 2048
 _NUFFT_FROM = 257
 # `_nufft` kernel width in grid points and its shape: on the 830 of 2,000 random scenes
 # at or above the crossover, w = 14 drifted from the direct formula by 1.7e-12 of the
@@ -144,14 +144,16 @@ def _cascade_sums(
     return (rows @ _powers(-2 * np.pi * df * delta, block, cis).T).ravel()[:count]
 
 
-def _semicircle(z: np.ndarray) -> np.ndarray:
-    """The `_nufft` kernel exp(beta*(sqrt(1 - z^2) - 1)) at |z| <= 1, in place of z."""
-    np.square(z, out=z)
-    np.subtract(1.0, z, out=z)
-    np.sqrt(z, out=z)
-    z -= 1.0
-    z *= _NUFFT_BETA
-    return np.exp(z, out=z)
+def _es_kernel(o: np.ndarray, q: np.ndarray | float, j, out: np.ndarray) -> np.ndarray:
+    """The `_nufft` kernel times exp(beta), exp(sqrt(beta^2*(1 - z^2))), at z = o + j*(2/w),
+    |z| <= 1, in out; q = beta^2*(1 - o^2). Six passes, 1 - z^2 expanded in o and o^2."""
+    s = j * (2 / _NUFFT_W)
+    np.multiply(o, -2 * _NUFFT_BETA**2 * s, out=out)
+    out += q
+    out -= (_NUFFT_BETA * s) ** 2
+    np.maximum(out, 0.0, out=out)  # rounding: near |z| = 1, or t - w/2 leaving z < -1
+    np.sqrt(out, out=out)
+    return np.exp(out, out=out)
 
 
 def _nufft(c: np.ndarray, u: np.ndarray, count: int) -> np.ndarray:
@@ -161,28 +163,41 @@ def _nufft(c: np.ndarray, u: np.ndarray, count: int) -> np.ndarray:
     kernel (Barnett, Magland & af Klinteberg, 2019): each c_n is spread over the w grid
     points nearest t_n = u_n*G on a periodic grid of G >= 2*count points, one FFT of the
     grid gives every sum times the kernel's transform, and dividing by the DFT of the
-    kernel's samples at integer offsets takes that out. O(N*w + G log G) for N elements,
-    within ~4e-15 of sum |c_n| of exact sums; no BLAS, so the bytes do not depend on it.
-    The spreading runs one grid offset j at a time over (N,) scratch vectors: (N, w)
-    tables were slower, each fresh one costing more than the pass that fills it.
+    kernel's samples at integer offsets takes that out. O(N log N + (N + L)*w + G log G)
+    for N elements in L distinct first grid cells, with no BLAS. As in FINUFFT, the
+    elements are sorted by first cell once; per offset j, `np.add.reduceat` sums each run
+    of equal cells contiguously and pairwise, and one `np.bincount` adds the (w, L) run
+    sums onto the grid. The delay designs put 10^4 elements in 1 to 19 cells at 2048
+    subcarriers. Against exact sums: 5e-16 of sum |c_n| on 10^4 scattered points, 2.7e-15
+    on 10^4 at u = 0 (grid nodes, spread with the very samples divided out), 1.8e-14 on
+    the default DLDD design, 1.3e-14 of it the w = 16 kernel's truncation near the band
+    edge at G = 2*count (the same with the kernel in long double).
     """
     w = _NUFFT_W
     g = 1 << (2 * count - 1).bit_length()
     t = u * g  # exact: g is a power of two
     start = np.ceil(t - w / 2)
-    offset, first = (start - t) * (2 / w), start.astype(np.int64)
-    z, part, idx = np.empty_like(offset), np.empty_like(offset), np.empty_like(first)
-    grid = np.zeros(g, dtype=complex)
-    for j in range(w):
-        # grid point start_n + j, at (start_n + j - t_n)*2/w in [-1, 1] of the kernel
-        phi = _semicircle(np.add(offset, j * (2 / w), out=z))
-        np.add(first, j, out=idx)
-        idx &= g - 1
-        grid.real += np.bincount(idx, np.multiply(phi, c.real, out=part), g)
-        grid.imag += np.bincount(idx, np.multiply(phi, c.imag, out=part), g)
+    cell = start.astype(np.int64) & (g - 1)
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    heads = np.flatnonzero(np.diff(cell, prepend=-1))  # where each run of equal cells starts
+    cell = cell[heads]
+    # grid point start_n + j lies at z = o_n + j*(2/w) in [-1, 1] of the kernel
+    o = (start - t)[order] * (2 / w)
+    q = _NUFFT_BETA**2 * (1 - o * o)
+    scale = np.exp(-_NUFFT_BETA)
+    re, im = c.real[order] * scale, c.imag[order] * scale
+    phi, part, runs = np.empty_like(o), np.empty_like(o), np.empty((2, w, cell.size))
+    for j in range(w):  # runs[:, j]: each run's sum onto grid point cell + j
+        _es_kernel(o, q, j, phi)
+        np.add.reduceat(np.multiply(phi, re, out=part), heads, out=runs[0, j])
+        np.add.reduceat(np.multiply(phi, im, out=part), heads, out=runs[1, j])
+    idx = ((cell + np.arange(w)[:, None]) & (g - 1)).ravel()
+    grid = np.empty(g, dtype=complex)
+    grid.real, grid.imag = (np.bincount(idx, r.ravel(), g) for r in runs)
     samples = np.zeros(g)
-    m = np.arange(-(w // 2), w // 2 + 1)
-    samples[m] = _semicircle(m * (2 / w))
+    m = np.arange(w + 1)
+    samples[m - w // 2] = _es_kernel(np.full(w + 1, -1.0), 0.0, m, np.empty(w + 1)) * scale
     modes = (np.arange(count) - count // 2) & (g - 1)
     return (np.fft.ifft(grid) * g)[modes] / np.fft.fft(samples).real[modes]
 

@@ -31,9 +31,15 @@ reference's rounding as much as the kernel's. With the non-uniform FFT from
 above the crossover) drifted by at most 2.7e-13, 1.9e-13 and 1.7e-13 on the
 doubling path and 2.4e-13, 2.2e-13 and 3.3e-13 on the FFT path. Against sums whose
 phases k*u_n are reduced by their nearest integer, `_nufft` alone stays within
-~4e-15 of sum |c_n|.
+5e-16 of sum |c_n| on 10^4 scattered points and 2.7e-15 on 10^4 points at u = 0,
+and within 1.8e-14 on the default scenario's DLDD design: its points crowd into
+3 grid cells, and near the band edge the w = 16 kernel's truncation error is
+1.3e-14 of sum |c_n| there even with the kernel taken in long double.
+`bincount_nufft`, the spreading by one `np.bincount` per grid offset that sorting
+the points by grid cell replaced, stays here as the reference for that change.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -176,12 +182,33 @@ def test_edge_gains_match_direct_formula(case):
         assert abs(got - want) <= DRIFT_TOL
 
 
-def explicit_sums(c, u, count):
+def explicit_sums(c, u, count, block=64):
     """Reference for `_nufft`: sum_n c_n exp(2j*pi*k*u_n) over the centred modes k, one
-    exp per term, with k*u_n rounded once and reduced by its nearest integer."""
-    x = np.outer(u, np.arange(count) - count // 2)
-    x -= np.rint(x)
-    return (c[:, None] * np.exp(2j * np.pi * x)).sum(axis=0)
+    exp per term, with k*u_n rounded once and reduced by its nearest integer; `block`
+    modes at a time, each summed pairwise along the elements."""
+    k = np.arange(count) - count // 2
+    sums = np.empty(count, dtype=complex)
+    for i in range(0, count, block):
+        x = np.outer(k[i:i + block], u)
+        x -= np.rint(x)
+        sums[i:i + block] = (np.exp(2j * np.pi * x) * c).sum(axis=1)
+    return sums
+
+
+@functools.cache
+def default_dldd_inputs():
+    """`_nufft`'s c and u for the DLDD design on the default scenario at 2048 subcarriers,
+    as `_cascade_sums` forms them: 10^4 points in 3 grid cells."""
+    count = 2048
+    scenario = parse_scenario((ROOT / "scenarios" / "default.scn").read_text())
+    scene = scenario.scene
+    r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
+    anchor, tau = build_design(scenario, "dldd").anchor_and_delays()
+    delta = (r_bs - r_user) / SPEED_OF_LIGHT + tau
+    grid = replace(scenario.grid, m_count=count)
+    f0, df = grid.frequency(0), grid.bandwidth / count
+    c = np.exp(1j * (anchor - 2 * np.pi * (f0 + count // 2 * df) * delta))
+    return c, -df * delta
 
 
 def nufft_cases():
@@ -196,7 +223,16 @@ def nufft_cases():
         "negative": (c, -rng.uniform(0.0, 0.1, 200)),
         "all-zero": (c, np.zeros(200)),  # as for the uncapped per-element design
         "single-element": (c[:1], np.array([0.3])),
+        # 10^4 points in one grid cell and in three: the wideband designs' inputs
+        "clustered-at-zero": (np.ones(10**4, dtype=complex), np.zeros(10**4)),
+        "clustered-default-dldd": default_dldd_inputs(),
     }
+
+
+# the clustered cases' bounds, of sum |c_n|: rounding alone at u = 0, where every point
+# is a grid node (one `bincount` chain per offset gave 2.8e-13); with the DLDD design it
+# adds to the kernel's truncation error, 1.3e-14 (see the module docstring)
+CLUSTERED_TOL = {"clustered-at-zero": 1e-14, "clustered-default-dldd": 2e-14}
 
 
 @pytest.mark.parametrize("count", [_NUFFT_FROM, 1023, 1024])
@@ -205,7 +241,69 @@ def test_nufft_matches_the_explicit_sum(case, count):
     c, u = nufft_cases()[case]
     got = _nufft(c, u, count)
     assert got.shape == (count,)
-    assert np.abs(got - explicit_sums(c, u, count)).max() <= DRIFT_TOL * np.abs(c).sum()
+    tol = CLUSTERED_TOL.get(case, DRIFT_TOL)
+    assert np.abs(got - explicit_sums(c, u, count)).max() <= tol * np.abs(c).sum()
+
+
+def test_nufft_kernel_offsets_rounded_past_its_edge_stay_finite():
+    """t = u*G = -1020 + ulp: t - w/2 rounds to the integer -1028, so the first grid point
+    lies a rounding beyond the kernel's support (z < -1), where 1 - z^2 < 0."""
+    c, u = np.ones(1, dtype=complex), np.array([np.nextafter(-1020.0, 0) / 2048])
+    got = _nufft(c, u, 1024)  # G = 2048
+    assert np.abs(got - explicit_sums(c, u, 1024)).max() <= DRIFT_TOL
+
+
+def bincount_nufft(c, u, count):
+    """`_nufft` as it was before sorting the points by grid cell: each offset's kernel values
+    added onto the grid by two `np.bincount` calls in element order."""
+
+    def semicircle(z):
+        return np.exp(metrics._NUFFT_BETA * (np.sqrt(1.0 - z * z) - 1.0))
+
+    w = metrics._NUFFT_W
+    g = 1 << (2 * count - 1).bit_length()
+    t = u * g
+    start = np.ceil(t - w / 2)
+    offset, first = (start - t) * (2 / w), start.astype(np.int64)
+    grid = np.zeros(g, dtype=complex)
+    for j in range(w):
+        phi = semicircle(offset + j * (2 / w))
+        idx = (first + j) & (g - 1)
+        grid.real += np.bincount(idx, phi * c.real, g)
+        grid.imag += np.bincount(idx, phi * c.imag, g)
+    samples = np.zeros(g)
+    m = np.arange(-(w // 2), w // 2 + 1)
+    samples[m] = semicircle(m * (2 / w))
+    modes = (np.arange(count) - count // 2) & (g - 1)
+    return (np.fft.ifft(grid) * g)[modes] / np.fft.fft(samples).real[modes]
+
+
+@pytest.mark.parametrize("count", [_NUFFT_FROM, 1023, 1024])
+@pytest.mark.parametrize("case", sorted(nufft_cases()))
+def test_nufft_matches_the_bincount_spreading(case, count):
+    c, u = nufft_cases()[case]
+    drift = np.abs(_nufft(c, u, count) - bincount_nufft(c, u, count)).max()
+    assert drift <= DRIFT_TOL * np.abs(c).sum()
+
+
+@pytest.mark.parametrize("count", [_NUFFT_FROM, 1024, 2048, 16384])
+@pytest.mark.parametrize("name", ["default.scn", "mirrored-y.scn"])
+def test_nufft_matches_the_bincount_spreading_on_the_bundled_scenarios(monkeypatch, name, count):
+    """Every design, uncapped and with a 9 ps cap, with both weightings of `_cascade_sums`."""
+    scenario = parse_scenario((ROOT / "scenarios" / name).read_text())
+    scene, grid = scenario.scene, replace(scenario.grid, m_count=count)
+    configs = [build_design(scenario, design) for design in DESIGN_NAMES]
+    configs += [replace(config, delay_cap=9e-12) for config in configs[1:]]
+    r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
+    f0, df = grid.frequency(0), grid.bandwidth / count
+    for config in configs:
+        for weights in (1.0, 1.0 / (r_bs * r_user)):
+            got = _cascade_sums(config, r_bs, r_user, f0, df, count, weights)
+            with monkeypatch.context() as patch:
+                patch.setattr(metrics, "_nufft", bincount_nufft)
+                want = _cascade_sums(config, r_bs, r_user, f0, df, count, weights)
+            mass = np.abs(np.broadcast_to(weights, r_bs.shape)).sum()
+            assert np.abs(got - want).max() <= DRIFT_TOL * mass
 
 
 @pytest.mark.parametrize("name", ["default.scn", "mirrored-y.scn"])

@@ -330,14 +330,15 @@ class TestWidebandMemory:
     def test_per_subcarrier_metrics_hold_no_element_by_subcarrier_array(self):
         # one (N, F) complex phasor array at N = 10^4, F = 2048 would alone take 328 MB;
         # the block-factorized kernel peaked at 21.4 MiB here, at 14.7 MiB with its
-        # tables built by doubling, and at 1.5 MiB with the non-uniform FFT, which
-        # spreads one grid offset at a time through (N,) vectors
+        # tables built by doubling, at 1.5 MiB with the non-uniform FFT, which spreads
+        # one grid offset at a time through (N,) vectors, and at 1.6 MiB with the
+        # elements sorted by grid cell (a sorted copy of each input vector)
         assert per_subcarrier_peak(2048) < 4 * 2**20
 
     def test_per_subcarrier_memory_is_bounded_along_the_band(self):
         # the doubling tables grow with sqrt(F) rows and columns and the product with F:
         # 79.9 MiB at 65,536 subcarriers; the non-uniform FFT holds a few grid-sized
-        # vectors (2 MiB each at G = 131,072) and its (N,) scratch: 10.1 MiB
+        # vectors (2 MiB each at G = 131,072) and its (N,) scratch: 10.2 MiB
         assert per_subcarrier_peak(65536) < 24 * 2**20
 
 
