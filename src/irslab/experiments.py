@@ -39,8 +39,20 @@ DESIGN_NAMES = ("narrowband", "dldd", "per-element")
 FREQUENCY_TOKENS = ("f1", "fc", "fM")
 
 
-# rows converted to Python numbers at a time by the writers; bounds their extra memory
-_BLOCK_ROWS = 4096
+# rows formatted at a time by the writers; bounds their extra memory
+_BLOCK_ROWS = 2048
+
+# the text `json` writes for the floats that have no JSON literal
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+class _JsonText:
+    """Text that `_write_json` writes as it stands, as one or more items of a list."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
 
 
 @dataclass(frozen=True)
@@ -61,23 +73,52 @@ class ResultTable:
     def columns(self) -> tuple[str, ...]:
         return tuple(self.data)
 
-    def _rows(self, dtype=None):
-        """Yield each row as a tuple of Python numbers, converting a block of rows at a time."""
+    def _text_blocks(
+        self, head: str, sep: str, tail: str, between: str = "", dtype=None, nonfinite=None
+    ) -> Iterator[str]:
+        """The rows as text, _BLOCK_ROWS rows at a time: each row is head, its cells joined
+        by sep, then tail, and the rows of a block are joined by between.
+
+        A cell is the repr of the column's Python number (after conversion to dtype); with
+        nonfinite, a float NaN or infinity is nonfinite[its repr] instead. Per block and
+        column each distinct bit pattern is formatted once, so -0.0 keeps its sign, with
+        the sep or tail after it attached; then one join lays the block's rows out.
+        """
         cols = tuple(self.data.values())
-        for start in range(0, len(next(iter(cols), ())), _BLOCK_ROWS):
-            yield from zip(*(np.asarray(c[start:start + _BLOCK_ROWS], dtype).tolist() for c in cols))
+        k = len(cols)
+        n = len(cols[0]) if cols else 0
+        # the last cell of a row also carries the next row's head
+        ends = [sep] * (k - 1) + [tail + between + head]
+        for start in range(0, n, _BLOCK_ROWS):
+            cells = [head] * (1 + min(_BLOCK_ROWS, n - start) * k)
+            for j, (col, end) in enumerate(zip(cols, ends), 1):
+                values = np.asarray(col[start:start + _BLOCK_ROWS], dtype)
+                _, first, inverse = np.unique(
+                    values.view(f"u{values.itemsize}"), return_index=True, return_inverse=True
+                )
+                distinct = values[first]
+                text = list(map(repr, distinct.tolist()))
+                if nonfinite is not None:
+                    for i in np.flatnonzero(~np.isfinite(distinct)).tolist():
+                        text[i] = nonfinite[text[i]]
+                cells[j::k] = (np.array(text, dtype=object) + end)[inverse].tolist()
+            cells[-1] = cells[-1][:len(cells[-1]) - len(between + head)]  # the block's last row
+            yield "".join(cells)
 
     def to_csv(self, fh: IO[str]) -> None:
         fh.write(f"# experiment: {self.experiment}\n")
         fh.write(f"# scenario-hash: {self.scenario_hash}\n")
         fh.write(f"# version: irslab {__version__}\n")
         fh.write(",".join(self.columns) + "\n")
-        for row in self._rows():
-            fh.write(",".join(map(repr, row)) + "\n")
+        for block in self._text_blocks("", ",", "\n"):
+            fh.write(block)
         for comment in self.comments:
             fh.write(f"# {comment}\n")
 
     def to_json(self, fh: IO[str]) -> None:
+        # rows sit at depth 2 of the document, their numbers at depth 3
+        row, num = "\n    ", "\n      "
+        blocks = self._text_blocks("[" + num, "," + num, row + "]", "," + row, float, _JSON_SPECIAL)
         _write_json(
             {
                 "experiment": self.experiment,
@@ -85,7 +126,7 @@ class ResultTable:
                 "version": __version__,
                 "comments": list(self.comments),
                 "columns": list(self.columns),
-                "rows": self._rows(float),
+                "rows": map(_JsonText, blocks),
             },
             fh,
         )
@@ -99,10 +140,12 @@ def _write_json(obj, fh: IO[str]) -> None:
     ends the document.
 
     An iterator is written as the list of its items, read one at a time, so a
-    table streams its rows. A list or tuple of finite floats is written by one
-    join of float reprs, the text `json` gives each float; everything else
-    follows `json`'s rules. `json.dump` takes its pure-Python encoder for any
-    indent: on a per-element `export-config` dict it took 33 ms, this 9 ms (2-core Xeon).
+    table streams its rows; a `_JsonText` item is written as it stands, so one
+    item can carry a block of rows that `ResultTable.to_json` formatted. A list
+    or tuple of finite floats is written by one join of float reprs, the text
+    `json` gives each float; everything else follows `json`'s rules. `json.dump`
+    takes its pure-Python encoder for any indent: on a per-element `export-config`
+    dict it took 33 ms, this 9 ms (2-core Xeon).
     """
     for piece in _json_pieces(obj, "\n"):
         fh.write(piece)
@@ -124,16 +167,13 @@ def _json_pieces(obj, nl: str) -> Iterator[str]:
         if floats is not None:
             yield f"[{inner}{floats}{nl}]"
             return
-        # built once here: a table streams ~10^5 rows through this loop
-        sep, comma, deeper = "[" + inner, "," + inner, inner + "  "
-        float_sep = "," + deeper
+        sep, comma = "[" + inner, "," + inner
         for item in obj:
-            floats = _json_floats(item, float_sep)  # a float row needs no generator of its own
-            if floats is None:
-                yield sep
-                yield from _json_pieces(item, inner)
+            yield sep
+            if isinstance(item, _JsonText):
+                yield item.text
             else:
-                yield f"{sep}[{deeper}{floats}{inner}]"
+                yield from _json_pieces(item, inner)
             sep = comma
         yield "[]" if sep[0] == "[" else nl + "]"
     else:

@@ -187,8 +187,9 @@ class Scene:
     def element_distances(self) -> dict[str, np.ndarray]:
         """Exact distances from every element to 'bs' and to 'user', each shape (N,) in
         row-major order; computed once, on first use, and read-only."""
-        ends = np.stack([self.bs.as_array(), self.user.as_array()])[:, None, :]
-        r = np.sqrt(np.square(element_positions(self.layout) - ends).sum(axis=-1))
+        bs, user = self.bs, self.user
+        r = panel_distances(self.layout, np.array([bs.x, user.x]), np.array([bs.y, user.y]),
+                            np.array([bs.z, user.z]))
         r.flags.writeable = False
         return {"bs": r[0], "user": r[1]}
 
@@ -302,17 +303,48 @@ def fraunhofer_distance(layout: IrsLayout, lambda_c: float) -> float:
 # --- vectorized helpers used by the channel and metric kernels ---
 
 
+def _panel_axis(n: int, step: float) -> np.ndarray:
+    """Coordinates of n points `step` apart along one panel axis, centered on 0."""
+    return (np.arange(n) - (n - 1) / 2) * step
+
+
 def _panel_grid(n_y: int, n_z: int, step: float) -> np.ndarray:
     """Points (0, y, z) of an n_y x n_z grid in the panel plane, `step` apart and
     centered on the origin, as an (n_y, n_z, 3) array."""
-    yy, zz = np.meshgrid((np.arange(n_y) - (n_y - 1) / 2) * step,
-                         (np.arange(n_z) - (n_z - 1) / 2) * step, indexing="ij")
+    yy, zz = np.meshgrid(_panel_axis(n_y, step), _panel_axis(n_z, step), indexing="ij")
     return np.stack([np.zeros_like(yy), yy, zz], axis=-1)
 
 
 def element_positions(layout: IrsLayout) -> np.ndarray:
     """All element positions as an (N, 3) array, row-major in (iy, iz)."""
     return _panel_grid(layout.n_y, layout.n_z, layout.d).reshape(-1, 3)
+
+
+def element_axes(layout: IrsLayout) -> tuple[np.ndarray, np.ndarray]:
+    """The element coordinates per axis, shapes (n_y,) and (n_z,): element (iy, iz)
+    sits at (0, y[iy - 1], z[iz - 1])."""
+    return _panel_axis(layout.n_y, layout.d), _panel_axis(layout.n_z, layout.d)
+
+
+def panel_distances(
+    layout: IrsLayout, x: np.ndarray, y: np.ndarray, z: np.ndarray | float,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Distances from P points (x_p, y_p, z_p) to every element, shape (P, N), row-major
+    in (iy, iz); z may be one height for all points. Written to out if given.
+
+    The panel is a lattice, so each squared distance is (x_p^2 + dy_pa^2) + dz_pb^2 from
+    per-axis squares, P*(n_y + n_z) of them instead of P*N*3, summed in the order of
+    the (N, 3) position-table formula and so bit for bit equal to it.
+    """
+    el_y, el_z = element_axes(layout)
+    dy2 = np.square(np.subtract.outer(y, el_y))  # (P, n_y)
+    dy2 += np.square(x)[:, None]
+    dz2 = np.square(np.subtract.outer(z, el_z))  # (P, n_z) or (n_z,)
+    if out is None:
+        out = np.empty((dy2.shape[0], layout.n_elements))
+    np.add(dy2[:, :, None], dz2[..., None, :], out=out.reshape(-1, layout.n_y, layout.n_z))
+    return np.sqrt(out, out=out)
 
 
 def subsurface_centers(layout: IrsLayout, partition: SubsurfacePartition) -> np.ndarray:

@@ -26,7 +26,14 @@ import numpy as np
 
 from .beamforming import BeamformerConfig
 from .channel import element_distances
-from .geometry import SPEED_OF_LIGHT, EvaluationPlane, FrequencyGrid, Scene, element_positions
+from .geometry import (
+    SPEED_OF_LIGHT,
+    EvaluationPlane,
+    FrequencyGrid,
+    Scene,
+    element_axes,
+    panel_distances,
+)
 
 GAIN_TOL = 1e-9
 # bytes of beam-pattern temporaries that all worker threads together may hold: the
@@ -52,9 +59,12 @@ _CIS_TABLE = np.concatenate([_CIS_TABLE, 1j * _CIS_TABLE, -_CIS_TABLE, -1j * _CI
 # 16 subcarriers, 1.9-2.8 against 1.7-2.5 at 32, 2.8-3.1 against 1.5-1.9 at 128, 3.5-3.9
 # against 1.5-1.9 at 256 and 8.9-9.3 against 1.6-2.2 at 2048
 _NUFFT_FROM = 257
-# `_nufft` kernel width in grid points and its shape: on the 830 of 2,000 random scenes
-# at or above the crossover, w = 14 drifted from the direct formula by 1.7e-12 of the
-# weight mass, w = 16 and w = 18 by 2.4e-13, the rounding of the reference's own phases
+# `_nufft` kernel width in grid points and its shape. Against the direct formula on the
+# 830 of 2,000 random scenes at or above the crossover, w = 14 drifted by 1.7e-12 of the
+# weight mass and w = 16 and w = 18 both by 2.4e-13: the rounding of the reference's own
+# phases, so that test cannot tell 16 from 18. The kernel's own truncation near the band
+# edge, on the default DLDD design at G = 2*count (computed in long double), is 1.3e-14
+# of sum |c_n| at w = 16 and 2.8e-15 at w = 18; a tighter bound needs w, beta or G anew
 _NUFFT_W = 16
 _NUFFT_BETA = 2.30 * _NUFFT_W
 
@@ -94,12 +104,13 @@ class BeamPattern:
         _check_gains(self.gains)
 
 
-def _powers(step: np.ndarray, count: int, cis: Callable[..., None]) -> np.ndarray:
-    """exp(1j*i*step) for i < count, shape (count, *step.shape), by doubling (Knuth, TAOCP
-    vol. 2, 4.6.3): out[m:2m] = out[:m] * exp(1j*(m*step)) with m*step exact, so entry i is a
-    product of popcount(i) exponentials and no error builds up along the table. Each
-    exponential is cis (`_cis` or `_cis_exp`, see `_cis_for`) at every phase m*step."""
-    out = np.empty((count, *step.shape), dtype=complex)
+def _powers(step: np.ndarray, out: np.ndarray, cis: Callable[..., None]) -> np.ndarray:
+    """Writes exp(1j*i*step) to out[i] for i < count = len(out) and returns out, by doubling
+    (Knuth, TAOCP vol. 2, 4.6.3): out[m:2m] = out[:m] * exp(1j*(m*step)) with m*step exact,
+    so entry i is a product of popcount(i) exponentials and no error builds up along the
+    table. Each exponential is cis (`_cis` or `_cis_exp`, see `_cis_for`) at every phase
+    m*step."""
+    count = len(out)
     out[0] = 1.0
     m = 1
     while m < count:
@@ -139,9 +150,14 @@ def _cascade_sums(
         c *= _exp_j(-2 * np.pi * (count // 2) * df * delta, cis)
         return _nufft(c, -df * delta, count)
     block = int(np.ceil(np.sqrt(count)))
-    rows = _powers(-2 * np.pi * block * df * delta, -(-count // block), cis)
+    n_rows = -(-count // block)
+    # one allocation for both tables: as two, they were freed and faulted in again on
+    # each call of a warm loop (default panel, 128 subcarriers: ~3,000 minor faults and
+    # 11 ms per `gain-profile` op, against 0 and 7.5 ms as one)
+    tables = np.empty((n_rows + block, delta.size), dtype=complex)
+    rows = _powers(-2 * np.pi * block * df * delta, tables[:n_rows], cis)
     rows *= weights * _exp_j(anchor - 2 * np.pi * f0 * delta, cis)
-    return (rows @ _powers(-2 * np.pi * df * delta, block, cis).T).ravel()[:count]
+    return (rows @ _powers(-2 * np.pi * df * delta, tables[n_rows:], cis).T).ravel()[:count]
 
 
 def _es_kernel(o: np.ndarray, q: np.ndarray | float, j, out: np.ndarray) -> np.ndarray:
@@ -375,9 +391,7 @@ def multi_beam_pattern(
         if not (np.isfinite(f) and f > 0):  # README: every frequency is positive
             raise ValueError(f"frequency {f!r} Hz must be finite and above 0 Hz")
     ks = 2 * np.pi * freqs / grid.c
-    pos = element_positions(scene.layout)
-    el_y = pos[:, 1]
-    dz2 = (plane.z - pos[:, 2]) ** 2
+    el_y, el_z = element_axes(scene.layout)
     r_bs = element_distances(scene, "bs")
     # per-(config, frequency) element weights: cascade BS side x reflection
     weights = np.empty((len(configs), freqs.size, r_bs.size), dtype=complex)
@@ -386,9 +400,9 @@ def multi_beam_pattern(
         w[:] = np.exp(1j * (anchor - 2 * np.pi * freqs[:, None] * (r_bs / grid.c + tau)))
 
     xs, ys = plane.x_coords(), plane.y_coords()
-    px2 = np.repeat(xs, plane.n_y) ** 2
+    px = np.repeat(xs, plane.n_y)
     py = np.tile(ys, plane.n_x)
-    n_pts = px2.size
+    n_pts = px.size
     triple = _symmetric_triple(freqs)
     # distances and 3 float tables (8 B each), one more float table and one more
     # complex table (16 B) with a symmetric triple
@@ -396,7 +410,7 @@ def multi_beam_pattern(
     point_bytes = r_bs.size * (8 * n_float + 16 * n_complex)
     # distance is convex, so the largest sits at a plane corner and a panel corner
     y_far = max(ys[-1] - el_y.min(), el_y.max() - ys[0])
-    r_far = np.sqrt(px2.max() + y_far**2 + dz2.max())
+    r_far = np.sqrt((xs**2).max() + y_far**2 + ((plane.z - el_z) ** 2).max())
     cis = _cis_for(ks.max() * r_far)
     workers = min(_worker_count(), n_pts)
     size = max(1, _PLANE_BYTES // (workers * point_bytes))
@@ -417,12 +431,7 @@ def multi_beam_pattern(
         for start in range(bounds[w], bounds[w + 1], size):
             sl = slice(start, min(start + size, bounds[w + 1]))
             n = sl.stop - sl.start
-            r = float_buf[0, :n]
-            np.subtract(py[sl, None], el_y, out=r)
-            np.square(r, out=r)
-            np.add(px2[sl, None], r, out=r)
-            r += dz2
-            np.sqrt(r, out=r)
+            r = panel_distances(scene.layout, px[sl], py[sl], plane.z, out=float_buf[0, :n])
             sums[:, :, sl] = _plane_sums(
                 r, ks, weights, triple, cis, float_buf[1:, :n], table_buf[0, :n],
                 None if triple is None else table_buf[1, :n],

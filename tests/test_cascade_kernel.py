@@ -424,7 +424,7 @@ STEPS = np.concatenate([
 def test_powers_match_exp_entry_by_entry(count):
     # the table exp while every phase m*step is within its range, as `_cascade_sums` picks
     cis = _cis_for((1 << max((count - 1).bit_length() - 1, 0)) * STEP_MAX)
-    got = _powers(STEPS, count, cis)
+    got = _powers(STEPS, np.empty((count, STEPS.size), dtype=complex), cis)
     assert got.shape == (count, STEPS.size)
     assert np.array_equal(got[0], np.ones(STEPS.size))
     for k in range((count - 1).bit_length()):

@@ -31,7 +31,7 @@ from irslab.geometry import (
     DegenerateGeometryError,
     PanelPlaneWarning,
     element_position,
-    element_positions,
+    panel_distances,
 )
 from irslab.scenario import ScenarioError, parse_scenario
 
@@ -193,16 +193,16 @@ class TestDelayRangeSweep:
 
 @pytest.fixture
 def position_tables(monkeypatch):
-    """Records every element-position table built; both endpoints' element distances
-    come from one such table, so counting tables counts the distance computations."""
+    """Records every element-distance computation of a scene: both endpoints' element
+    distances come from one `panel_distances` call, so counting calls counts them."""
     tables = []
 
-    def counting(layout):
+    def counting(layout, *args, **kwargs):
         tables.append(layout)
-        return element_positions(layout)
+        return panel_distances(layout, *args, **kwargs)
 
     for module in (geometry, channel):  # channel too, should it import the helper again
-        monkeypatch.setattr(module, "element_positions", counting, raising=False)
+        monkeypatch.setattr(module, "panel_distances", counting, raising=False)
     return tables
 
 
@@ -631,16 +631,32 @@ def old_writers(table: ResultTable) -> tuple[str, str]:
     return csv.getvalue(), js.getvalue()
 
 
+FLOATS = st.sampled_from(FLOAT_EDGES + [np.nan, np.inf, -np.inf]) | st.floats()
+
+
+@st.composite
+def repeated(draw, n: int) -> np.ndarray:
+    """A beam-pattern-like column: a few values, 0.0 and -0.0 among them, each repeated
+    in runs, so that a writer block holds each value many times."""
+    pool = np.array([0.0, -0.0, *draw(st.lists(FLOATS, max_size=3))])
+    pool = pool[draw(st.permutations(range(pool.size)))]
+    run = draw(st.sampled_from([1, 2, 41, BLOCK - 1, BLOCK + 3]))
+    return np.resize(np.repeat(pool, run), n)
+
+
 @st.composite
 def tables(draw):
-    """Tables of int64 and float64 columns with row counts around the writers' block size."""
+    """Tables of int64 and float64 columns with row counts around the writers' block size:
+    NaN and +-inf included (JSON writes NaN and Infinity where CSV writes nan and inf),
+    and beam-like columns of a few repeated values."""
     n = draw(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]))
     kinds = {
-        np.int64: st.integers(int(INT64.min), int(INT64.max)),
-        np.float64: st.sampled_from(FLOAT_EDGES) | st.floats(allow_nan=False, allow_infinity=False),
+        "int64": arrays(np.int64, n, elements=st.integers(int(INT64.min), int(INT64.max))),
+        "float64": arrays(np.float64, n, elements=FLOATS),
+        "repeated": repeated(n),
     }
-    dtypes = draw(st.lists(st.sampled_from(list(kinds)), min_size=1, max_size=4))
-    data = {f"c{i}": draw(arrays(dt, n, elements=kinds[dt])) for i, dt in enumerate(dtypes)}
+    names = draw(st.lists(st.sampled_from(list(kinds)), min_size=1, max_size=4))
+    data = {f"c{i}": draw(kinds[name]) for i, name in enumerate(names)}
     return ResultTable("beam-pattern", "0" * 64, data, ("peak: gain=1.0 ix=0",))
 
 
@@ -648,12 +664,22 @@ EDGE_TABLE = ResultTable("rate-sweep", "f" * 64, {
     "i": np.resize(np.array([0, 1, -1, INT64.min, INT64.max]), 2 * BLOCK + 1),
     "f": np.resize(np.array(FLOAT_EDGES), 2 * BLOCK + 1),
 })
+# 3 frequencies over a 41 x 61 plane whose x and y axes cross 0.0 and -0.0, and
+# gains with NaN and +-inf, as the writers would see a beam pattern if any
+BEAM_ROWS = 3 * 41 * 61
+BEAM_TABLE = ResultTable("beam-pattern", "e" * 64, {
+    "frequency_ghz": np.repeat([285.0, 300.0, 315.0], 41 * 61),
+    "x_m": np.tile(np.repeat(np.linspace(-1.0, 1.0, 41), 61), 3) * np.resize([1.0, -1.0], BEAM_ROWS),
+    "y_m": np.tile(np.resize([0.0, -0.0, 0.5], 61), 3 * 41),
+    "gain": np.resize([0.25, np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0], BEAM_ROWS),
+}, ("peak: frequency_ghz=300.0 x_m=0.0 y_m=-0.0 gain=1.0 ix=20 iy=1",))
 
 
 class TestWriters:
     @settings(max_examples=30, deadline=None)
     @given(table=tables())
     @example(table=EDGE_TABLE)
+    @example(table=BEAM_TABLE)
     def test_match_the_row_writer(self, table):
         csv, js = io.StringIO(), io.StringIO()
         table.to_csv(csv)

@@ -22,6 +22,7 @@ from irslab.geometry import (
     element_positions,
     fraunhofer_distance,
     link_angles,
+    panel_distances,
     subsurface_center,
     subsurface_centers,
 )
@@ -145,6 +146,49 @@ class TestDistance:
         p, q = Point3(0.3, -1.2, 5.0), Point3(-0.7, 2.2, 1.0)
         assert distance(p, p) == 0.0
         assert distance(p, q) == distance(q, p) > 0
+
+
+coords = st.floats(-8.0, 8.0, allow_nan=False)
+
+
+def table_distances(layout, points):
+    """The (N, 3) position-table formula that the per-axis distances replace."""
+    return np.sqrt(np.square(element_positions(layout) - points[:, None, :]).sum(axis=-1))
+
+
+class TestPanelDistances:
+    """Distances from per-axis squares equal the position-table formula bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_y=st.integers(1, 23), n_z=st.integers(1, 23), d=st.floats(1e-4, 0.05),
+           bs=st.tuples(coords, coords, coords), user=st.tuples(coords, coords, coords))
+    def test_scene_distances_match_the_position_table(self, n_y, n_z, d, bs, user):
+        # endpoints on either side of the panel plane, or in it
+        layout = IrsLayout(n_y, n_z, d)
+        scene = Scene(Point3(*bs), Point3(*user), layout, SubsurfacePartition(n_y, n_z, 1))
+        want = table_distances(layout, np.array([bs, user]))
+        got = scene.element_distances
+        assert np.array_equal(got["bs"], want[0]) and np.array_equal(got["user"], want[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_y=st.integers(1, 23), n_z=st.integers(1, 23), d=st.floats(1e-4, 0.05),
+           points=st.lists(st.tuples(coords, coords), min_size=1, max_size=6), z=coords)
+    def test_plane_chunks_match_the_beam_kernel_formula(self, n_y, n_z, d, points, z):
+        """A chunk of plane points at one height, into the kernel's scratch table."""
+        layout = IrsLayout(n_y, n_z, d)
+        px, py = np.array(points).T
+        pos = element_positions(layout)
+        # the beam kernel's formula before the per-axis squares
+        want = np.sqrt((px[:, None] ** 2 + (py[:, None] - pos[:, 1]) ** 2) + (z - pos[:, 2]) ** 2)
+        scratch = np.full((3, px.size + 2, layout.n_elements), np.nan)
+        out = scratch[0, :px.size]
+        assert panel_distances(layout, px, py, z, out=out) is out
+        assert np.array_equal(out, want)
+        assert np.isnan(scratch[0, px.size:]).all() and np.isnan(scratch[1:]).all()
+        assert np.array_equal(
+            panel_distances(layout, px, py, np.full(px.size, z)),
+            table_distances(layout, np.column_stack([px, py, np.full(px.size, z)])),
+        )
 
 
 class TestLinkAngles:
