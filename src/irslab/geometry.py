@@ -7,6 +7,7 @@ row-major in (iy, iz), i.e. the z index varies fastest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -273,7 +274,7 @@ def subsurface_center(
 
 def distance(p: Point3, q: Point3) -> float:
     """Euclidean distance between two points, meters."""
-    return float(np.linalg.norm(p.as_array() - q.as_array()))
+    return math.dist(p.as_array(), q.as_array())
 
 
 def link_angles(endpoint: Point3, center: Point3) -> tuple[float, float, float]:
@@ -284,7 +285,7 @@ def link_angles(endpoint: Point3, center: Point3) -> tuple[float, float, float]:
     elevation from it, so sin_elevation**2 + cos_elevation**2 == 1.
     """
     rel = endpoint.as_array() - center.as_array()
-    r = float(np.linalg.norm(rel))
+    r = math.hypot(*rel)
     if r == 0.0:
         raise DegenerateGeometryError("endpoint coincides with the sub-surface center")
     rho = float(np.hypot(rel[0], rel[1]))

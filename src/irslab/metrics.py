@@ -2,18 +2,17 @@
 
 All gains are evaluated against the exact spherical-wave channel regardless of
 which model a beamformer was designed from. Per-subcarrier gains come from
-one cascade kernel (`_cascade_sums`). Below _NUFFT_FROM subcarriers it is a BLAS
-matrix product of block-start and offset phasor tables, each built by doubling
-from ~log2 of its length exponentials (`_powers`); from there on, a non-uniform
-FFT (`_nufft`) built from `np.add.reduceat` and NumPy's FFT, with no BLAS and a cost
-nearly flat in the subcarrier count. The beam pattern (`multi_beam_pattern`) runs
-chunks of plane points, sized by one byte budget, on a thread per usable CPU, and
-sums each point over the elements with `np.einsum`: no BLAS, so its gains do not
-depend on the split. Both kernels take their exponentials from a table-driven
-exp(j theta) (`_cis`), faster than libm's complex exp and within 1e-15 of it. A
-kernel call whose phases may exceed the table's exact range (|theta| > 2.06e5
-rad, r ~ 31 m at 315 GHz) takes libm's exp throughout (`_cis_for`). The beam
-pattern's per-element weights are libm's exp.
+one cascade kernel (`_cascade_sums`). Below _NUFFT_FROM subcarriers it is the
+direct sum, one exponential per element and subcarrier; from there on, a
+non-uniform FFT (`_nufft`) built from `np.add.reduceat` and NumPy's FFT, with a
+cost nearly flat in the subcarrier count. The beam pattern (`multi_beam_pattern`)
+runs chunks of plane points, sized by one byte budget, on a thread per usable CPU.
+Both kernels sum over the elements with `np.einsum` or the FFT and call no BLAS,
+so their gains depend neither on the BLAS build nor on the split. Both take their
+exponentials from a table-driven exp(j theta) (`_cis`), faster than libm's complex
+exp and within 1e-15 of it. A kernel call whose phases may exceed the table's
+exact range (|theta| > 2.06e5 rad, r ~ 31 m at 315 GHz) takes libm's exp
+throughout (`_cis_for`). The beam pattern's per-element weights are libm's exp.
 """
 
 from __future__ import annotations
@@ -53,12 +52,14 @@ _CIS_SHIFT = 1.5 * 2**52  # x + SHIFT - SHIFT is rint(x) for |x| < 2**51
 _CIS_TABLE = np.exp(2j * np.pi / _CIS_M * np.arange(_CIS_M // 4))
 _CIS_TABLE = np.concatenate([_CIS_TABLE, 1j * _CIS_TABLE, -_CIS_TABLE, -1j * _CIS_TABLE])
 
-# subcarrier count from which `_cascade_sums` takes `_nufft`, kept above every bundled
-# digest's count: on the default DLDD design (10^4 elements, 2-core Xeon with AVX-512, NumPy 2.4.6,
-# quartiles of 120 alternating calls) the doubling path took 1.1-1.7 ms against 1.5-2.1 at
-# 16 subcarriers, 1.9-2.8 against 1.7-2.5 at 32, 2.8-3.1 against 1.5-1.9 at 128, 3.5-3.9
-# against 1.5-1.9 at 256 and 8.9-9.3 against 1.6-2.2 at 2048
-_NUFFT_FROM = 257
+# subcarrier count from which `_cascade_sums` takes `_nufft` instead of the direct sum. On
+# the default panel (10^4 elements, 2-core Xeon with AVX-512, NumPy 2.4.6, quartiles of 80
+# alternating in-process calls per design) the direct sum took 0.9-1.2 ms against 1.6-1.9
+# for `_nufft` at 4 subcarriers (DLDD), 1.3-1.8 against 1.7-2.3 at 5, 1.7-2.5 against
+# 1.9-2.7 at 6 and 2.1-2.8 against 1.6-2.1 at 8, and grows by ~0.3 ms per subcarrier
+# (43 against 2.3 ms at 128). From 5 on, `_nufft`: the direct sum then holds at most 4
+# complex rows of N, so the kernel's memory stays flat along the band
+_NUFFT_FROM = 5
 # `_nufft` kernel width in grid points and its shape. Against the direct formula on the
 # 830 of 2,000 random scenes at or above the crossover, w = 14 drifted by 1.7e-12 of the
 # weight mass and w = 16 and w = 18 both by 2.4e-13: the rounding of the reference's own
@@ -104,21 +105,6 @@ class BeamPattern:
         _check_gains(self.gains)
 
 
-def _powers(step: np.ndarray, out: np.ndarray, cis: Callable[..., None]) -> np.ndarray:
-    """Writes exp(1j*i*step) to out[i] for i < count = len(out) and returns out, by doubling
-    (Knuth, TAOCP vol. 2, 4.6.3): out[m:2m] = out[:m] * exp(1j*(m*step)) with m*step exact,
-    so entry i is a product of popcount(i) exponentials and no error builds up along the
-    table. Each exponential is cis (`_cis` or `_cis_exp`, see `_cis_for`) at every phase
-    m*step."""
-    count = len(out)
-    out[0] = 1.0
-    m = 1
-    while m < count:
-        np.multiply(out[:min(m, count - m)], _exp_j(m * step, cis), out=out[m:2 * m])
-        m *= 2
-    return out
-
-
 def _exp_j(theta: np.ndarray, cis: Callable[..., None]) -> np.ndarray:
     """exp(1j*theta) by cis (`_cis` or `_cis_exp`); theta is overwritten."""
     out = np.empty(theta.shape, dtype=complex)
@@ -134,30 +120,24 @@ def _cascade_sums(
 
     delta_n = (r_bs,n - r_user,n)/c + tau_n and c_n = w_n exp(j*(anchor_n - 2*pi*f0*delta_n)),
     so sum i is sum_n c_n exp(2j*pi*i*u_n) with u_n = -df*delta_n. Below _NUFFT_FROM
-    subcarriers, i = b*B + k, B = ceil(sqrt(count)), is c_n Z_n^b z_n^k, z_n = exp(2j*pi*u_n)
-    and Z_n = z_n^B: two `_powers` tables, ~log2(count) exponentials per element, and one
-    BLAS matrix product give every sum. From _NUFFT_FROM on, `_nufft` takes the sums in
-    O(N + count log count), the modes centred on count//2 by one more phasor per element.
-    Every exponential of a call is `_cis`, or, if any phase may exceed _CIS_RANGE, libm's exp.
+    subcarriers the sums are that formula itself: one exponential per element and
+    subcarrier, summed over the elements in element order by `np.einsum`. From _NUFFT_FROM
+    on, `_nufft` takes them in O(N + count log count), the modes centred on count//2 by one
+    more phasor per element. Neither path calls BLAS. Every exponential of a call is
+    `_cis`, or, if any phase may exceed _CIS_RANGE, libm's exp.
     """
     anchor, tau = config.anchor_and_delays()
     delta = (r_bs - r_user) / SPEED_OF_LIGHT + tau
-    # a table phase is m*step with m*block < count for the rows and m < block <= count
-    # for the offsets, and the centring phase is (count//2)*df*delta, so none exceeds this
+    # no phase exceeds this: the direct ones lie within f_i < f0 + count*df, and the
+    # centring phase is (count//2)*df*delta
     cis = _cis_for(np.abs(anchor).max() + 2 * np.pi * (f0 + count * df) * np.abs(delta).max())
-    if count >= _NUFFT_FROM:
-        c = weights * _exp_j(anchor - 2 * np.pi * f0 * delta, cis)
-        c *= _exp_j(-2 * np.pi * (count // 2) * df * delta, cis)
-        return _nufft(c, -df * delta, count)
-    block = int(np.ceil(np.sqrt(count)))
-    n_rows = -(-count // block)
-    # one allocation for both tables: as two, they were freed and faulted in again on
-    # each call of a warm loop (default panel, 128 subcarriers: ~3,000 minor faults and
-    # 11 ms per `gain-profile` op, against 0 and 7.5 ms as one)
-    tables = np.empty((n_rows + block, delta.size), dtype=complex)
-    rows = _powers(-2 * np.pi * block * df * delta, tables[:n_rows], cis)
-    rows *= weights * _exp_j(anchor - 2 * np.pi * f0 * delta, cis)
-    return (rows @ _powers(-2 * np.pi * df * delta, tables[n_rows:], cis).T).ravel()[:count]
+    if count < _NUFFT_FROM:
+        f = f0 + df * np.arange(count)
+        phasors = _exp_j(anchor - np.multiply.outer(2 * np.pi * f, delta), cis)
+        return np.einsum("in,n->i", phasors, np.broadcast_to(weights, delta.shape))
+    c = weights * _exp_j(anchor - 2 * np.pi * f0 * delta, cis)
+    c *= _exp_j(-2 * np.pi * (count // 2) * df * delta, cis)
+    return _nufft(c, -df * delta, count)
 
 
 def _es_kernel(o: np.ndarray, q: np.ndarray | float, j, out: np.ndarray) -> np.ndarray:
@@ -177,8 +157,9 @@ def _nufft(c: np.ndarray, u: np.ndarray, count: int) -> np.ndarray:
 
     A type-1 non-uniform FFT (Dutt & Rokhlin, 1993) with the "exponential of semicircle"
     kernel (Barnett, Magland & af Klinteberg, 2019): each c_n is spread over the w grid
-    points nearest t_n = u_n*G on a periodic grid of G >= 2*count points, one FFT of the
-    grid gives every sum times the kernel's transform, and dividing by the DFT of the
+    points nearest t_n = u_n*G on a periodic grid of G >= max(2*count, 2w) points (the
+    floor keeps the kernel's w + 1 samples apart at small counts), one FFT of the grid
+    gives every sum times the kernel's transform, and dividing by the DFT of the
     kernel's samples at integer offsets takes that out. O(N log N + (N + L)*w + G log G)
     for N elements in L distinct first grid cells, with no BLAS. As in FINUFFT, the
     elements are sorted by first cell once; per offset j, `np.add.reduceat` sums each run
@@ -190,7 +171,7 @@ def _nufft(c: np.ndarray, u: np.ndarray, count: int) -> np.ndarray:
     edge at G = 2*count (the same with the kernel in long double).
     """
     w = _NUFFT_W
-    g = 1 << (2 * count - 1).bit_length()
+    g = max(1 << (2 * count - 1).bit_length(), 2 * w)
     t = u * g  # exact: g is a power of two
     start = np.ceil(t - w / 2)
     cell = start.astype(np.int64) & (g - 1)

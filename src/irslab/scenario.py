@@ -122,6 +122,14 @@ def _watts(key: str, dbm: float) -> float:
     return watts
 
 
+def _hertz(key: str, ghz: float) -> float:
+    """`ghz` in Hz; a frequency that overflows a float is an error."""
+    hz = ghz * 1e9
+    if not math.isfinite(hz):
+        raise ScenarioError(f"{key}: {ghz:g} GHz is too large to express in Hz")
+    return hz
+
+
 def _digest(values: dict) -> str:
     lines = []
     for key, value in sorted(values.items()):
@@ -135,15 +143,18 @@ def _resolve(values: dict, source: str) -> Scenario:
     v = values
     if not v["grid.f_c_ghz"] > 0:  # before the half-wavelength spacing divides by it
         raise ScenarioError(f"grid.f_c_ghz must be above 0 GHz, got {v['grid.f_c_ghz']!r}")
-    f_c = v["grid.f_c_ghz"] * 1e9
+    f_c = _hertz("grid.f_c_ghz", v["grid.f_c_ghz"])
     d = SPEED_OF_LIGHT / f_c / 2.0 if v["irs.d_m"] == HALF_WAVELENGTH else v["irs.d_m"]
+    if not math.isfinite(d):
+        raise ScenarioError(f"grid.f_c_ghz: {v['grid.f_c_ghz']:g} GHz is too small to express "
+                            "its half-wavelength spacing in meters")
+    bandwidth = _hertz("grid.bandwidth_ghz", v["grid.bandwidth_ghz"])
     try:
         layout = IrsLayout(v["irs.n_y"], v["irs.n_z"], d)
         partition = SubsurfacePartition.for_layout(layout, v["partition.k_y"], v["partition.k_z"])
         scene = Scene(Point3(v["bs.x_m"], v["bs.y_m"], v["bs.z_m"]),
                       Point3(v["user.x_m"], v["user.y_m"], v["user.z_m"]), layout, partition)
-        grid = FrequencyGrid(f_c=f_c, bandwidth=v["grid.bandwidth_ghz"] * 1e9,
-                             m_count=v["grid.subcarriers"])
+        grid = FrequencyGrid(f_c=f_c, bandwidth=bandwidth, m_count=v["grid.subcarriers"])
         plane = EvaluationPlane(
             x_min=v["plane.x_min_m"], x_max=v["plane.x_max_m"],
             y_min=v["plane.y_min_m"], y_max=v["plane.y_max_m"],

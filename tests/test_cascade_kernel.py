@@ -1,45 +1,42 @@
-"""The cascade kernel's two paths against the direct per-subcarrier formula.
+"""The cascade kernel's two branches against the direct per-subcarrier formula.
 
 `metrics._cascade_sums` computes S_i = sum_n c_n exp(2j*pi*i*u_n) for i < count,
 with c_n = w_n exp(j*(anchor_n - 2*pi*f0*delta_n)) and u_n = -df*delta_n.
-Below `metrics._NUFFT_FROM` subcarriers it writes subcarrier i = b*B + k
-(B = ceil(sqrt(count))) as c_n Z_n^b z_n^k, with z_n = exp(2j*pi*u_n) and
-Z_n = z_n^B, and reduces a row table of c_n Z_n^b and an offset table of z_n^k
-with one matrix product. `metrics._powers` builds each table by doubling:
-entry i is a product of popcount(i) exact exponentials at exact multiples
-2^e * step, so no error builds up along a table. From `_NUFFT_FROM` on, it
-takes the same sums by a type-1 non-uniform FFT (`metrics._nufft`): the modes
-centred on count//2 by one more phasor per element, the c_n spread onto a
-periodic grid with an "exponential of semicircle" kernel, one FFT, and a
-division by the DFT of the kernel's samples. The direct formula below builds
-the full (N, F) phasor array instead and sums it over the elements; it is kept
-here as the reference for both paths, and `COUNTS` holds counts on both sides
-of the crossover.
+Below `metrics._NUFFT_FROM` subcarriers it evaluates the formula itself: the
+(count, N) phasors exp(j*(anchor_n - 2*pi*f_i*delta_n)), one table exponential
+each, summed over the elements in element order by `np.einsum`. From
+`_NUFFT_FROM` on, it takes the same sums by a type-1 non-uniform FFT
+(`metrics._nufft`): the modes centred on count//2 by one more phasor per
+element, the c_n spread onto a periodic grid of G >= max(2*count, 2w) points
+with an "exponential of semicircle" kernel of width w, one FFT, and a division
+by the DFT of the kernel's samples. The direct formula below builds the full
+(N, F) phasor array with libm's exp instead and sums it over the elements; it
+is the reference for both branches, and `COUNTS` holds counts on both sides of
+the crossover.
 
 Every consumer takes |sum|, so the sums are compared by magnitude: normalized
 gains to an absolute DRIFT_TOL, weighted sums to DRIFT_TOL times the weight
 mass sum |w_n| (near a null a relative bound would measure the conditioning of
-the sum, which the direct formula shares, not the kernel). For the doubling
-path, the largest drift measured over 2,000 scenes, for three seeds, was
-2.9e-13, 6.3e-13 and 2.6e-13 for the normalized gains (6.3e-13 of the weight
-mass for the weighted sums) and 2.0e-13 for the edge gains; the kernel with
-exact exp at every block start and offset drifted by 2.8e-13, 6.5e-13 and
-3.7e-13 on the same scenes. Both paths and the reference round a phase
-2*pi*f*delta of up to ~4e4 rad, whose last bit is ~7e-12 rad: the drift is the
-reference's rounding as much as the kernel's. With the non-uniform FFT from
-257 subcarriers on, three more seeds of 2,000 scenes (42-43 % of them at or
-above the crossover) drifted by at most 2.7e-13, 1.9e-13 and 1.7e-13 on the
-doubling path and 2.4e-13, 2.2e-13 and 3.3e-13 on the FFT path. Against sums whose
-phases k*u_n are reduced by their nearest integer, `_nufft` alone stays within
-5e-16 of sum |c_n| on 10^4 scattered points and 2.7e-15 on 10^4 points at u = 0,
-and within 1.8e-14 on the default scenario's DLDD design: its points crowd into
-3 grid cells, and near the band edge the w = 16 kernel's truncation error is
-1.3e-14 of sum |c_n| there even with the kernel taken in long double.
-`bincount_nufft`, the spreading by one `np.bincount` per grid offset that sorting
-the points by grid cell replaced, stays here as the reference for that change.
+the sum, which the direct formula shares, not the kernel). Both branches and
+the reference round a phase 2*pi*f*delta of up to ~4e4 rad, whose last bit is
+~7e-12 rad: the drift is the reference's rounding as much as the kernel's. The
+former block-factorized path (`libm_cascade_sums`, a block-start and an offset
+table of powers built by doubling and reduced by one BLAS product) drifted
+from the reference by at most 6.5e-13 over 3 x 2,000 random scenes, and
+`_nufft` by 3.3e-13. Against sums whose phases k*u_n are reduced by their
+nearest integer, `_nufft` alone stays within 5e-16 of sum |c_n| on 10^4
+scattered points and 2.7e-15 on 10^4 points at u = 0, and within 1.8e-14 on the
+default scenario's DLDD design: its points crowd into 3 grid cells, and near the
+band edge the w = 16 kernel's truncation error is 1.3e-14 of sum |c_n| there
+even with the kernel taken in long double.
+`libm_cascade_sums` stays here as the reference for the change that replaced it
+by the direct branch, and `bincount_nufft`, the spreading by one
+`np.bincount` per grid offset that sorting the points by grid cell replaced, as
+the reference for that change.
 """
 
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -62,9 +59,7 @@ from irslab.metrics import (
     _CIS_RANGE,
     _NUFFT_FROM,
     _cascade_sums,
-    _cis_for,
     _nufft,
-    _powers,
     cascade_gain_magnitudes,
     edge_gain,
     gain_profile,
@@ -75,10 +70,11 @@ from irslab.scenario import parse_scenario
 DRIFT_TOL = 1e-12
 ROOT = Path(__file__).resolve().parent.parent
 
-# primes, perfect squares, the edges of a block, both sides of the crossover to the
-# non-uniform FFT, the wideband workload's size and a band past it
-COUNTS = (1, 2, 3, 4, 5, 7, 16, 17, 49, 97, _NUFFT_FROM - 1, _NUFFT_FROM, 1009, 1024, 2025,
-          2039, 2047, 2048, 16384)
+# every count up to 8, where the non-uniform FFT's grid floor acts, both sides of the
+# crossover to it, primes, perfect squares, the former crossover at 257, the wideband
+# workload's size and a band past it
+COUNTS = (1, 2, 3, 4, 5, 6, 7, 8, _NUFFT_FROM - 1, _NUFFT_FROM, 16, 17, 49, 97, 128, 256,
+          257, 1009, 1024, 2025, 2039, 2047, 2048, 16384)
 
 
 def direct_sums(config, r_bs, r_user, c, freqs, weights=1.0):
@@ -218,7 +214,7 @@ def nufft_cases():
     below = np.nextafter(rng.integers(-3, 4, 200).astype(float), -np.inf)
     return {
         "random": (c, rng.uniform(-3.0, 3.0, 200)),
-        "on-grid-nodes": (c, rng.integers(-2048, 2048, 200) / 512),  # G >= 512 here
+        "on-grid-nodes": (c, rng.integers(-2048, 2048, 200) / 512),  # at G >= 512
         "just-below-an-integer": (c, below),
         "negative": (c, -rng.uniform(0.0, 0.1, 200)),
         "all-zero": (c, np.zeros(200)),  # as for the uncapped per-element design
@@ -235,7 +231,12 @@ def nufft_cases():
 CLUSTERED_TOL = {"clustered-at-zero": 1e-14, "clustered-default-dldd": 2e-14}
 
 
-@pytest.mark.parametrize("count", [_NUFFT_FROM, 1023, 1024])
+# every count up to 8, where the grid floor 2w acts, both sides of the crossover, the
+# former crossover at 257 and a band on both sides of a power of two
+NUFFT_COUNTS = sorted({*range(1, 9), _NUFFT_FROM - 1, _NUFFT_FROM, 257, 1023, 1024})
+
+
+@pytest.mark.parametrize("count", NUFFT_COUNTS)
 @pytest.mark.parametrize("case", sorted(nufft_cases()))
 def test_nufft_matches_the_explicit_sum(case, count):
     c, u = nufft_cases()[case]
@@ -255,13 +256,13 @@ def test_nufft_kernel_offsets_rounded_past_its_edge_stay_finite():
 
 def bincount_nufft(c, u, count):
     """`_nufft` as it was before sorting the points by grid cell: each offset's kernel values
-    added onto the grid by two `np.bincount` calls in element order."""
+    added onto the grid by two `np.bincount` calls in element order (on the same grid)."""
 
     def semicircle(z):
         return np.exp(metrics._NUFFT_BETA * (np.sqrt(1.0 - z * z) - 1.0))
 
     w = metrics._NUFFT_W
-    g = 1 << (2 * count - 1).bit_length()
+    g = max(1 << (2 * count - 1).bit_length(), 2 * w)
     t = u * g
     start = np.ceil(t - w / 2)
     offset, first = (start - t) * (2 / w), start.astype(np.int64)
@@ -278,7 +279,7 @@ def bincount_nufft(c, u, count):
     return (np.fft.ifft(grid) * g)[modes] / np.fft.fft(samples).real[modes]
 
 
-@pytest.mark.parametrize("count", [_NUFFT_FROM, 1023, 1024])
+@pytest.mark.parametrize("count", NUFFT_COUNTS)
 @pytest.mark.parametrize("case", sorted(nufft_cases()))
 def test_nufft_matches_the_bincount_spreading(case, count):
     c, u = nufft_cases()[case]
@@ -286,7 +287,7 @@ def test_nufft_matches_the_bincount_spreading(case, count):
     assert drift <= DRIFT_TOL * np.abs(c).sum()
 
 
-@pytest.mark.parametrize("count", [_NUFFT_FROM, 1024, 2048, 16384])
+@pytest.mark.parametrize("count", [_NUFFT_FROM, 128, 257, 1024, 2048, 16384])
 @pytest.mark.parametrize("name", ["default.scn", "mirrored-y.scn"])
 def test_nufft_matches_the_bincount_spreading_on_the_bundled_scenarios(monkeypatch, name, count):
     """Every design, uncapped and with a 9 ps cap, with both weightings of `_cascade_sums`."""
@@ -326,16 +327,10 @@ def test_swapping_bs_and_user_keeps_the_wideband_metrics(name):
         np.testing.assert_allclose(swapped_mags, mags, rtol=0, atol=DRIFT_TOL * mags.max())
 
 
-def exp_by(cis, theta):
-    """exp(1j*theta) by `metrics._cis` or `metrics._cis_exp`."""
-    out = np.empty(theta.shape, dtype=complex)
-    cis(theta.copy(), out, np.empty(theta.shape), np.empty(theta.shape))
-    return out
-
-
 def libm_cascade_sums(config, r_bs, r_user, f0, df, count, weights=1.0):
-    """`_cascade_sums` as it was with libm's exp for every doubling step and the anchor
-    phasor, before both came from the table exp: the reference for that change."""
+    """`_cascade_sums` as it was below 257 subcarriers: a block-start and an offset table of
+    powers, built by doubling with libm's exp, reduced by one BLAS matrix product. The
+    reference for the direct branch that replaced it, and, before that, for the table exp."""
 
     def powers(step, n):
         out = np.empty((n, *np.shape(step)), dtype=complex)
@@ -354,18 +349,59 @@ def libm_cascade_sums(config, r_bs, r_user, f0, df, count, weights=1.0):
     return (rows @ powers(-2 * np.pi * df * delta, block).T).ravel()[:count]
 
 
-def assert_matches_libm_kernel(configs, r_bs, r_user, grid, exact=False):
-    """Both weightings of every config: within DRIFT_TOL of the weight mass, or bit for bit."""
+def libm_kernel_sums(*args):
+    """`_cascade_sums` with libm's exp (`metrics._cis_exp`) in place of the table exp."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_cis", metrics._cis_exp)
+        return _cascade_sums(*args)
+
+
+def each_kernel_call(configs, r_bs, r_user, grid):
+    """The arguments of `_cascade_sums` for both weightings of every config, and the weight
+    mass of each call."""
     f0, df, count = grid.frequencies[0], grid.bandwidth / grid.m_count, grid.m_count
     for config in configs:
         for weights in (1.0, 1.0 / (r_bs * r_user)):
-            got = _cascade_sums(config, r_bs, r_user, f0, df, count, weights)
-            want = libm_cascade_sums(config, r_bs, r_user, f0, df, count, weights)
-            if exact:
-                assert got.tobytes() == want.tobytes()
-            else:
-                mass = np.abs(np.broadcast_to(weights, r_bs.shape)).sum()
-                assert np.abs(got - want).max() <= DRIFT_TOL * mass
+            mass = np.abs(np.broadcast_to(weights, r_bs.shape)).sum()
+            yield (config, r_bs, r_user, f0, df, count, weights), mass
+
+
+def assert_matches_libm_kernel(configs, r_bs, r_user, grid, exact=False):
+    """The kernel against its libm form: within DRIFT_TOL of the weight mass, or bit for bit."""
+    for args, mass in each_kernel_call(configs, r_bs, r_user, grid):
+        got, want = _cascade_sums(*args), libm_kernel_sums(*args)
+        if exact:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.abs(got - want).max() <= DRIFT_TOL * mass
+
+
+def assert_matches_doubling_formula(configs, r_bs, r_user, grid):
+    """The kernel against the former doubling path, by magnitude: the direct branch rounds a
+    phase of up to ~1.3e4 rad once per subcarrier, so the complex sums differ by up to
+    1.2e-12 of the weight mass (400 random scenes) and their magnitudes by 4e-14."""
+    for args, mass in each_kernel_call(configs, r_bs, r_user, grid):
+        got, want = np.abs(_cascade_sums(*args)), np.abs(libm_cascade_sums(*args))
+        assert np.abs(got - want).max() <= DRIFT_TOL * mass
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cases())
+def test_kernel_matches_the_doubling_formula(case):
+    scene, grid, r_bs, r_user, configs = scene_designs(*case)
+    assert_matches_doubling_formula(configs, r_bs, r_user, grid)
+
+
+@pytest.mark.parametrize("count", [1, 2, _NUFFT_FROM - 1, _NUFFT_FROM, 128, 256])
+@pytest.mark.parametrize("name", ["default.scn", "mirrored-y.scn"])
+def test_kernel_matches_the_doubling_formula_on_the_bundled_scenarios(name, count):
+    """Every design, uncapped and with a 9 ps cap, at the counts the doubling path ran."""
+    scenario = parse_scenario((ROOT / "scenarios" / name).read_text())
+    scene, grid = scenario.scene, replace(scenario.grid, m_count=count)
+    configs = [build_design(scenario, design) for design in DESIGN_NAMES]
+    configs += [replace(config, delay_cap=9e-12) for config in configs[1:]]
+    r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
+    assert_matches_doubling_formula(configs, r_bs, r_user, grid)
 
 
 @settings(max_examples=60, deadline=None)
@@ -401,8 +437,8 @@ def test_phases_beyond_the_table_range_take_libm_exp(tmp_path, monkeypatch):
     scn = tmp_path / "far.scn"
     scn.write_text(text)
     outputs = []
-    for kernel in (_cascade_sums, libm_cascade_sums):
-        monkeypatch.setattr(metrics, "_cascade_sums", kernel)
+    for cis in (metrics._cis, metrics._cis_exp):
+        monkeypatch.setattr(metrics, "_cis", cis)
         for command in ("gain-profile", "rate-sweep", "td-count-sweep", "delay-range-sweep"):
             out = tmp_path / f"{command}.csv"
             assert main([command, "--scenario", str(scn), "--out", str(out)]) == 0
@@ -410,45 +446,32 @@ def test_phases_beyond_the_table_range_take_libm_exp(tmp_path, monkeypatch):
     assert outputs[:4] == outputs[4:]
 
 
-# Every step, and every phase m*step, that the kernel passes to `_powers` is at most
-# 2*pi*(f_M - f_1)*|delta_n|: 1.8e3 rad on the bundled scenarios. The steps are float32
-# values, so i*step is exact in float64 and the reference rounds nothing but its exp.
-STEP_MAX = 1e4
-STEPS = np.concatenate([
-    [0.0, STEP_MAX, -STEP_MAX, 1e-9],
-    np.random.default_rng(5).uniform(-STEP_MAX, STEP_MAX, 1000),
-]).astype(np.float32).astype(float)
+# runs `cli.main` on each argument list of the JSON list in argv[1], in one process
+CLI_CHILD = ("import json, sys; from irslab.cli import main; "
+             "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
 
 
-@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 32, 33, 46, 64, 65, 1024, 1025])
-def test_powers_match_exp_entry_by_entry(count):
-    # the table exp while every phase m*step is within its range, as `_cascade_sums` picks
-    cis = _cis_for((1 << max((count - 1).bit_length() - 1, 0)) * STEP_MAX)
-    got = _powers(STEPS, np.empty((count, STEPS.size), dtype=complex), cis)
-    assert got.shape == (count, STEPS.size)
-    assert np.array_equal(got[0], np.ones(STEPS.size))
-    for k in range((count - 1).bit_length()):
-        # a power of two is one exact exp, bit for bit
-        assert np.array_equal(got[2**k], exp_by(cis, 2**k * STEPS))
-    want = np.exp(1j * (np.arange(count)[:, None] * STEPS))
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
-
-
-@pytest.mark.parametrize("command", ["gain-profile", "rate-sweep"])
+@pytest.mark.parametrize("command", ["gain-profile", "rate-sweep", "td-count-sweep",
+                                     "delay-range-sweep"])
 def test_wideband_bytes_do_not_depend_on_blas_threads(tmp_path, command):
-    """At 2048 subcarriers the kernel is the non-uniform FFT, which uses no BLAS; its bytes
-    hold at 1 and 2 BLAS threads."""
-    scn = tmp_path / "wide.scn"
-    scn.write_text("grid.subcarriers = 2048\n")
+    """No branch of the cascade kernel calls BLAS, so the bytes hold at 1 and 2 BLAS threads
+    and under OpenBLAS's Sandybridge kernels (each set in the child process only): at the
+    default 128 subcarriers, which the former doubling path reduced by BLAS, and at 2048.
+    The sweeps' edge gains take 2 subcarriers whatever the grid, so they run once."""
+    counts = (128, 2048) if command in ("gain-profile", "rate-sweep") else (128,)
+    pythonpath = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"{command}-{threads}.csv"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    for setting in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
+                    {"OPENBLAS_CORETYPE": "Sandybridge"}):
+        runs = []
+        for count in counts:
+            scn = tmp_path / f"band-{count}.scn"
+            scn.write_text(f"grid.subcarriers = {count}\n")
+            runs.append([command, "--scenario", str(scn), "--out", str(tmp_path / f"{count}.csv")])
         subprocess.run(
-            [sys.executable, "-m", "irslab.cli", command, "--scenario", str(scn),
-             "--out", str(out)],
-            env=env, check=True, capture_output=True, timeout=300,
+            [sys.executable, "-c", CLI_CHILD, json.dumps(runs)],
+            env={**os.environ, **setting, "PYTHONPATH": pythonpath},
+            check=True, capture_output=True, timeout=300,
         )
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+        outputs.append([(tmp_path / f"{count}.csv").read_bytes() for count in counts])
+    assert outputs[0] == outputs[1] == outputs[2]

@@ -335,9 +335,16 @@ class TestWidebandMemory:
         # elements sorted by grid cell (a sorted copy of each input vector)
         assert per_subcarrier_peak(2048) < 4 * 2**20
 
+    @pytest.mark.parametrize("subcarriers", [*range(2, metrics._NUFFT_FROM), 128, 256])
+    def test_per_subcarrier_memory_is_flat_below_the_wideband_sizes(self, subcarriers):
+        # the former doubling tables and their BLAS product read 4.28 MiB at 128 and
+        # 5.65 MiB at 256; the direct sum below _NUFFT_FROM holds at most 4 phasors per
+        # element (1.83 MiB at 4, with the element distances), `_nufft` 1.25-1.27 MiB
+        assert per_subcarrier_peak(subcarriers) < 2 * 2**20
+
     def test_per_subcarrier_memory_is_bounded_along_the_band(self):
-        # the doubling tables grow with sqrt(F) rows and columns and the product with F:
-        # 79.9 MiB at 65,536 subcarriers; the non-uniform FFT holds a few grid-sized
+        # the former doubling tables grew with sqrt(F) rows and columns and the product
+        # with F: 79.9 MiB at 65,536 subcarriers; the non-uniform FFT holds a few grid-sized
         # vectors (2 MiB each at G = 131,072) and its (N,) scratch: 10.2 MiB
         assert per_subcarrier_peak(65536) < 24 * 2**20
 

@@ -144,6 +144,19 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=f"{line.split()[0]}: -4000 dBm is too small"):
             parse_scenario(line + "\n")
 
+    # finite GHz values whose Hz, or whose half-wavelength spacing, overflow a float; each
+    # used to blame a derived quantity ("element spacing d", "bandwidth must be positive")
+    @pytest.mark.parametrize("line, message", [
+        ("grid.f_c_ghz = 1e300", "grid.f_c_ghz: 1e+300 GHz is too large to express in Hz"),
+        ("grid.f_c_ghz = 1e-310", "grid.f_c_ghz: 1e-310 GHz is too small to express its "
+                                  "half-wavelength spacing in meters"),
+        ("grid.bandwidth_ghz = 1e300",
+         "grid.bandwidth_ghz: 1e+300 GHz is too large to express in Hz"),
+    ])
+    def test_overflowing_ghz_values_are_named_by_key(self, line, message):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            parse_scenario(line + "\n")
+
 
 class TestPanelPlaneWarning:
     @pytest.mark.parametrize("text, keys", [
