@@ -30,8 +30,8 @@ SWEEP_TOL = 1e-13
 
 GOLDEN_DIGESTS = {
     "default.scn": {
-        "gain-profile": "5a345b1ebd2439d71c5e54d7d7537ab52541d223d7af7b10ebde7fac88599f1e",
-        "rate-sweep": "7a9cbfac908504b1b455d554e9c7d7d856966f6b122db4634ccc9c2e7fc4dd60",
+        "gain-profile": "ecad1a9609adfbb97b4c42e10969a4ff2ada25fa539aece87982534d3aa74f64",
+        "rate-sweep": "5c2b7a1e216596f6917c2996392774d6a98212eb87f46821c566de81b762d3e2",
         "export-config/narrowband": "a8524d65bd26d412269782f05b2956ab3bf5c0976724bf1b2e3e6a319c3828a1",
         "beam-pattern/narrowband": "e7e8b5522da507dc21b0b33adb9f897818ae9b1320543ea5c2ba1d01474b2792",
         "export-config/dldd": "e4b961a4f1babacf952fdffde9bc7b4357f9789715a39f9fa285b2dd7baa2759",
@@ -40,8 +40,8 @@ GOLDEN_DIGESTS = {
         "beam-pattern/per-element": "a86df87c2a04c4cccc8b4c7702559fc501d2b0a00b13df82f2e0f46baef0134c",
     },
     "mirrored-y.scn": {
-        "gain-profile": "a29eeff7a5b49563a3084672e9713ead5a5b531b1c65923e542d79235685ca53",
-        "rate-sweep": "b5b91e95de2a1633a32c83b9a77792261ae9e523a37e7dc9f34aa41d39281885",
+        "gain-profile": "6184a0119350d639ba9abab372a5c8500eb5fbc14d5eccb21815b01035774992",
+        "rate-sweep": "0791ddbf3b6ca061a33c4accd0124a233fac6ae87ad8fcc82254eeccba52aaf7",
         "export-config/narrowband": "f34f804356024b2fb68cdb881aca15ba70b69fdc7c99d8d925528f9deb2bf062",
         "beam-pattern/narrowband": "878cc3dab334e1c8cc0814f08ea93c64747ff47b58c32b613a52391950f96b58",
         "export-config/dldd": "b08c381a7af93a0587cf1a0c4792a93b74c3ced7a9c68282d02558b8a071acfe",
@@ -53,15 +53,15 @@ GOLDEN_DIGESTS = {
 
 GOLDEN_JSON_DIGESTS = {
     "default.scn": {
-        "gain-profile": "8331ba356f3b138ebd24afb3ffffe6b3642c9bd516a7e970f6f5708efd98f642",
-        "rate-sweep": "54e8819d400b388eeaacaba6d67272ccadc81c634a16295d081ecc09101cfb91",
+        "gain-profile": "6b2c59542bb3960c5c0e49f14d3648e68f47e001f77a0ff779ef510d3b788ba5",
+        "rate-sweep": "27c9274c46b63ff0becb8443ce5a73ee196eccc590a1ca6b19b20dc80e8b2fb6",
         "beam-pattern/narrowband": "1a001fa086f060debeedc300804edfe4ff14d1f19c3a1026098acfcb432ef7dd",
         "beam-pattern/dldd": "3095fe3887dd678bb26a1bb20f9fe7c5cd31c881b981ab5ec88ac7737f2fe817",
         "beam-pattern/per-element": "396eb5a375ce717bc8adc59f062c6b66a84dae54f637b5f1ee1bf43d7a419ad9",
     },
     "mirrored-y.scn": {
-        "gain-profile": "3c50d19272bed086885f83893cfcfde6e3fae876abc7682edf41d4fe9bbb0c60",
-        "rate-sweep": "445304ae8607c4b8f44a3543ae3e0b83c4741ce9ffc0e71cc7aed718ee236b92",
+        "gain-profile": "39016c36e29dc464a30bca06fe05a62c218b1c57df48289488043ed5180f63bc",
+        "rate-sweep": "78c2f55ef1d9bc1caacfed4d8802b059b246eb46ba298d063ae8edd3eb52565e",
         "beam-pattern/narrowband": "84fad53caee03cf48f8349ab881c172baee38162bc1cc5c4a3f26cbb829f13d0",
         "beam-pattern/dldd": "630b77c6825ccd2d29729b5fd5a02de6b2f88fba7e925924ca56a4e35706048d",
         "beam-pattern/per-element": "5c8ccebe05c764e0baebacd6d68dff17e574b839682968c4ee9e8621f7bd3f0a",
