@@ -52,13 +52,14 @@ _CIS_SHIFT = 1.5 * 2**52  # x + SHIFT - SHIFT is rint(x) for |x| < 2**51
 _CIS_TABLE = np.exp(2j * np.pi / _CIS_M * np.arange(_CIS_M // 4))
 _CIS_TABLE = np.concatenate([_CIS_TABLE, 1j * _CIS_TABLE, -_CIS_TABLE, -1j * _CIS_TABLE])
 
-# subcarrier count from which `_cascade_sums` takes `_nufft` instead of the direct sum. On
-# the default panel (10^4 elements, 2-core Xeon with AVX-512, NumPy 2.4.6, quartiles of 80
-# alternating in-process calls per design) the direct sum took 0.9-1.2 ms against 1.6-1.9
-# for `_nufft` at 4 subcarriers (DLDD), 1.3-1.8 against 1.7-2.3 at 5, 1.7-2.5 against
-# 1.9-2.7 at 6 and 2.1-2.8 against 1.6-2.1 at 8, and grows by ~0.3 ms per subcarrier
-# (43 against 2.3 ms at 128). From 5 on, `_nufft`: the direct sum then holds at most 4
-# complex rows of N, so the kernel's memory stays flat along the band
+# subcarrier count from which `_cascade_sums` takes `_nufft` instead of the direct sum.
+# On the default panel (10^4 elements, 2-core Xeon with AVX-512, NumPy 2.4.6, DLDD,
+# quartiles of 80 alternating in-process calls) the direct sum took 0.9-1.2 ms against
+# 1.6-1.9 for `_nufft` at 4 subcarriers, 1.3-1.8 against 1.7-2.3 at 5, 1.7-2.5 against
+# 1.9-2.7 at 6, 1.7-2.3 against 1.6-2.2 at 7 (the crossover) and 2.1-2.8 against 1.6-2.1
+# at 8, then ~0.3 ms more per subcarrier (43 against 2.3 ms at 128). The split sits at
+# 5, below the crossover, so that the direct sum holds at most 4 phasors per element and
+# the kernel's memory stays flat along the band (under 2 MiB traced on the default panel)
 _NUFFT_FROM = 5
 # `_nufft` kernel width in grid points and its shape. Against the direct formula on the
 # 830 of 2,000 random scenes at or above the crossover, w = 14 drifted by 1.7e-12 of the

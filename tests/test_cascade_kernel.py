@@ -459,15 +459,15 @@ def test_wideband_bytes_do_not_depend_on_blas_threads(tmp_path, command):
     default 128 subcarriers, which the former doubling path reduced by BLAS, and at 2048.
     The sweeps' edge gains take 2 subcarriers whatever the grid, so they run once."""
     counts = (128, 2048) if command in ("gain-profile", "rate-sweep") else (128,)
+    runs = []
+    for count in counts:
+        scn = tmp_path / f"band-{count}.scn"
+        scn.write_text(f"grid.subcarriers = {count}\n")
+        runs.append([command, "--scenario", str(scn), "--out", str(tmp_path / f"{count}.csv")])
     pythonpath = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     outputs = []
     for setting in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
                     {"OPENBLAS_CORETYPE": "Sandybridge"}):
-        runs = []
-        for count in counts:
-            scn = tmp_path / f"band-{count}.scn"
-            scn.write_text(f"grid.subcarriers = {count}\n")
-            runs.append([command, "--scenario", str(scn), "--out", str(tmp_path / f"{count}.csv")])
         subprocess.run(
             [sys.executable, "-c", CLI_CHILD, json.dumps(runs)],
             env={**os.environ, **setting, "PYTHONPATH": pythonpath},
