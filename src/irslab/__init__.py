@@ -34,7 +34,6 @@ from .beamforming import (  # noqa: F401
     SignReport,
     cumulative_delay,
     dldd_design,
-    effective_reflection,
     narrowband_design,
     per_element_td_design,
     required_delay_range,
@@ -45,7 +44,6 @@ from .beamforming import (  # noqa: F401
 from .metrics import (  # noqa: F401
     BeamPattern,
     achievable_rate,
-    beam_pattern,
     edge_gain,
     gain_profile,
     normalized_array_gain,
@@ -53,7 +51,6 @@ from .metrics import (  # noqa: F401
 from .scenario import (  # noqa: F401
     Scenario,
     ScenarioError,
-    default_scenario,
     load_scenario,
     parse_scenario,
 )

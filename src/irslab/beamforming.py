@@ -302,7 +302,7 @@ def dldd_design(
         )
     first, second = _dldd_deltas(required_subsurface_delays(decomp))
     network = DlddDelayNetwork(partition, first, second, switch_sign=report.sign)
-    theta = _wrap_phase(-2 * np.pi * grid.f_c / grid.c * decomp.intra_delta_phi)
+    theta = _wrap_phase(-2 * np.pi * grid.f_c / SPEED_OF_LIGHT * decomp.intra_delta_phi)
     return BeamformerConfig(
         design="dldd",
         phases=PhaseShiftConfig(theta),
@@ -333,7 +333,7 @@ def per_element_td_design(scene: Scene, grid: FrequencyGrid) -> BeamformerConfig
     Cancels the cascaded phase at every frequency, so the normalized array
     gain is 1 at all subcarriers.
     """
-    tau = -path_length_difference(scene) / grid.c
+    tau = -path_length_difference(scene) / SPEED_OF_LIGHT
     theta = np.zeros_like(tau)
     return BeamformerConfig(
         design="per-element",
@@ -341,16 +341,6 @@ def per_element_td_design(scene: Scene, grid: FrequencyGrid) -> BeamformerConfig
         delay_network=PerElementDelayConfig(tau),
         design_frequency=grid.f_c,
     )
-
-
-def effective_reflection(config: BeamformerConfig, f: float) -> np.ndarray:
-    """Per-element unit reflection coefficients at frequency f, shape (N,).
-
-    Uncapped this is exp(j*(theta_n - 2*pi*f*tau_n)); a `delay_cap`
-    re-anchors as in BeamformerConfig.anchor_and_delays.
-    """
-    anchor, tau = config.anchor_and_delays()
-    return np.exp(1j * (anchor - 2 * np.pi * f * tau))
 
 
 def td_module_count(partition: SubsurfacePartition) -> int:

@@ -72,9 +72,9 @@ def exact_los_channel(
     """
     r = element_distances(scene, endpoint)
     f = grid.frequencies
-    gains = np.exp(-2j * np.pi / grid.c * np.outer(r, f))
+    gains = np.exp(-2j * np.pi / SPEED_OF_LIGHT * np.outer(r, f))
     if not normalized:
-        gains *= (grid.c / (4.0 * np.pi * f))[None, :] / r[:, None]
+        gains *= (SPEED_OF_LIGHT / (4.0 * np.pi * f))[None, :] / r[:, None]
     return gains
 
 
@@ -115,7 +115,7 @@ def piecewise_channel(
     """
     r, phi = _first_order_terms(scene, partition, endpoint)
     r_lin = partition.to_elements(r[:, :, None, None] - phi)
-    return np.exp(-2j * np.pi / grid.c * np.outer(r_lin, grid.frequencies))
+    return np.exp(-2j * np.pi / SPEED_OF_LIGHT * np.outer(r_lin, grid.frequencies))
 
 
 def cascaded_decomposition(scene: Scene, partition: SubsurfacePartition) -> CascadedDecomposition:

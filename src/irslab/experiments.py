@@ -26,10 +26,10 @@ from .beamforming import (
 )
 from .geometry import SubsurfacePartition
 from .metrics import (
-    beam_pattern,
     cascade_gain_magnitudes,
     edge_gain,
     gain_profile,
+    multi_beam_pattern,
     rates_from_gain,
 )
 from .scenario import Scenario, ScenarioError
@@ -130,9 +130,6 @@ class ResultTable:
             },
             fh,
         )
-
-    def column(self, name: str) -> np.ndarray:
-        return self.data[name].copy()
 
 
 def _write_json(obj, fh: IO[str]) -> None:
@@ -262,7 +259,9 @@ def run_beam_pattern(
     config = build_design(scenario, design)
     plane = scenario.plane
     freqs = resolve_frequencies(scenario, frequencies)
-    pattern = beam_pattern(scenario.scene, scenario.grid, config, freqs, plane)
+    pattern = multi_beam_pattern(
+        scenario.scene, scenario.grid, {design: config}, freqs, plane
+    )[design]
     xs, ys = plane.x_coords(), plane.y_coords()
     data = {
         "frequency_ghz": np.repeat(np.array(freqs) / 1e9, xs.size * ys.size),
@@ -299,7 +298,7 @@ def run_td_count_sweep(scenario: Scenario) -> ResultTable:
 
 def run_delay_range_sweep(scenario: Scenario) -> ResultTable:
     """Edge gain of DLDD and the per-element benchmark under a module-delay cap."""
-    data = {"t_req_ps": np.array(scenario.t_req_seconds) * 1e12}
+    data = {"t_req_ps": np.array(scenario.values["sweep.t_req_ps"])}
     for name in ("dldd", "per-element"):
         design = build_design(scenario, name)
         data[f"edge_gain_{_column_name(name)}"] = np.array([

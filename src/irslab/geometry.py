@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar
 
 import numpy as np
 
@@ -126,13 +125,13 @@ class FrequencyGrid:
 
     Subcarrier m (0-based) sits at f_c + (bandwidth / m_count) * (m - (m_count-1)/2),
     so the grid spans f_c +/- bandwidth*(m_count-1)/(2*m_count). Edge subcarriers
-    are indices 0 and m_count - 1. `c` is the class constant SPEED_OF_LIGHT.
+    are indices 0 and m_count - 1. The propagation speed is SPEED_OF_LIGHT, not a
+    field, so no grid carries another speed.
     """
 
     f_c: float
     bandwidth: float
     m_count: int
-    c: ClassVar[float] = SPEED_OF_LIGHT
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.f_c) and self.f_c > 0):
@@ -148,7 +147,7 @@ class FrequencyGrid:
     @property
     def lambda_c(self) -> float:
         """Wavelength at the center frequency, meters."""
-        return self.c / self.f_c
+        return SPEED_OF_LIGHT / self.f_c
 
     def frequency(self, m: int | np.ndarray) -> float | np.ndarray:
         """Frequency in Hz of subcarrier m (0-based), or of each index of an index array;

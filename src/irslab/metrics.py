@@ -353,7 +353,8 @@ def multi_beam_pattern(
     frequencies: Sequence[float],
     plane: EvaluationPlane,
 ) -> dict[str, BeamPattern]:
-    """Beam patterns for several configurations over one plane.
+    """Beam patterns for several configurations over one plane: the array gain with the
+    user-side distances replaced by plane points, one `BeamPattern` per name of `configs`.
 
     The plane points are split into one contiguous share per usable CPU, each run
     on its own thread in chunks sized so that all workers together hold at most
@@ -372,14 +373,14 @@ def multi_beam_pattern(
     for f in freqs.tolist():
         if not (np.isfinite(f) and f > 0):  # README: every frequency is positive
             raise ValueError(f"frequency {f!r} Hz must be finite and above 0 Hz")
-    ks = 2 * np.pi * freqs / grid.c
+    ks = 2 * np.pi * freqs / SPEED_OF_LIGHT
     el_y, el_z = element_axes(scene.layout)
     r_bs = element_distances(scene, "bs")
     # per-(config, frequency) element weights: cascade BS side x reflection
     weights = np.empty((len(configs), freqs.size, r_bs.size), dtype=complex)
     for w, config in zip(weights, configs.values()):
         anchor, tau = config.anchor_and_delays()
-        w[:] = np.exp(1j * (anchor - 2 * np.pi * freqs[:, None] * (r_bs / grid.c + tau)))
+        w[:] = np.exp(1j * (anchor - 2 * np.pi * freqs[:, None] * (r_bs / SPEED_OF_LIGHT + tau)))
 
     xs, ys = plane.x_coords(), plane.y_coords()
     px = np.repeat(xs, plane.n_y)
@@ -433,17 +434,6 @@ def multi_beam_pattern(
     return {name: BeamPattern(g, tuple(map(peak, g))) for name, g in zip(configs, gains)}
 
 
-def beam_pattern(
-    scene: Scene,
-    grid: FrequencyGrid,
-    config: BeamformerConfig,
-    frequencies: Sequence[float],
-    plane: EvaluationPlane,
-) -> BeamPattern:
-    """Array gain over a plane: user-side distances replaced by plane points."""
-    return multi_beam_pattern(scene, grid, {"only": config}, frequencies, plane)["only"]
-
-
 def cascade_gain_magnitudes(
     scene: Scene, grid: FrequencyGrid, config: BeamformerConfig
 ) -> np.ndarray:
@@ -455,7 +445,7 @@ def cascade_gain_magnitudes(
     r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
     f, df = grid.frequencies, grid.bandwidth / grid.m_count
     sums = _cascade_sums(config, r_bs, r_user, f[0], df, f.size, 1 / (r_bs * r_user))
-    magnitudes = (grid.c / (4.0 * np.pi * f)) ** 2 * np.abs(sums)
+    magnitudes = (SPEED_OF_LIGHT / (4.0 * np.pi * f)) ** 2 * np.abs(sums)
     if not np.all(np.isfinite(magnitudes)):
         raise ValueError("gain magnitudes must be finite")
     return magnitudes

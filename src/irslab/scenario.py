@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 from .geometry import (
     SPEED_OF_LIGHT,
@@ -149,6 +149,9 @@ def _resolve(values: dict, source: str) -> Scenario:
         raise ScenarioError(f"grid.f_c_ghz: {v['grid.f_c_ghz']:g} GHz is too small to express "
                             "its half-wavelength spacing in meters")
     bandwidth = _hertz("grid.bandwidth_ghz", v["grid.bandwidth_ghz"])
+    if v["grid.subcarriers"] > sys.float_info.max:  # the subcarrier formula takes it as a float
+        raise ScenarioError(f"grid.subcarriers: a {len(str(v['grid.subcarriers']))}-digit count "
+                            "is too large to express as a float")
     try:
         layout = IrsLayout(v["irs.n_y"], v["irs.n_z"], d)
         partition = SubsurfacePartition.for_layout(layout, v["partition.k_y"], v["partition.k_z"])
@@ -235,12 +238,3 @@ def load_scenario(path: str | Path | None = None) -> Scenario:
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {p}: {exc}") from None
     return parse_scenario(text, source=str(p))
-
-
-def default_scenario() -> Scenario:
-    return parse_scenario("", source="<defaults>")
-
-
-def scenario_keys() -> Iterable[str]:
-    """All recognized scenario keys (for documentation and tooling)."""
-    return _KEYS.keys()

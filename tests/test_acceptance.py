@@ -62,7 +62,7 @@ from irslab.metrics import (
     normalized_array_gain,
     rates_from_gain,
 )
-from irslab.scenario import default_scenario, load_scenario
+from irslab.scenario import load_scenario
 
 from conftest import wrapped_phase_diff
 
@@ -74,7 +74,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def env():
-    scenario = default_scenario()
+    scenario = load_scenario()
     scene, grid = scenario.scene, scenario.grid
     designs = {
         "narrowband": narrowband_design(scene, grid),

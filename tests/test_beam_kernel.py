@@ -42,7 +42,7 @@ from irslab.beamforming import (
 )
 from irslab.channel import element_distances
 from irslab.experiments import DESIGN_NAMES, FREQUENCY_TOKENS, build_design, resolve_frequencies
-from irslab.geometry import element_positions
+from irslab.geometry import SPEED_OF_LIGHT, element_positions
 from irslab.metrics import EvaluationPlane, multi_beam_pattern
 from irslab.scenario import parse_scenario
 
@@ -59,7 +59,7 @@ def reference_gains(scene, grid, configs, freqs, plane, chunk=512):
     weights = {}
     for name, config in configs.items():
         anchor, tau = config.anchor_and_delays()
-        weights[name] = np.exp(1j * (anchor - 2 * np.pi * freqs[:, None] * (r_bs / grid.c + tau)))
+        weights[name] = np.exp(1j * (anchor - 2 * np.pi * freqs[:, None] * (r_bs / SPEED_OF_LIGHT + tau)))
     px = np.repeat(plane.x_coords(), plane.n_y)
     py = np.tile(plane.y_coords(), plane.n_x)
     gains = {name: np.empty((freqs.size, px.size)) for name in configs}
@@ -70,7 +70,7 @@ def reference_gains(scene, grid, configs, freqs, plane, chunk=512):
             + (plane.z - el_z[None, :]) ** 2
         )
         for i, f in enumerate(freqs):
-            phasors = 2j * np.pi * f / grid.c * r_p
+            phasors = 2j * np.pi * f / SPEED_OF_LIGHT * r_p
             np.exp(phasors, out=phasors)
             for name in configs:
                 gains[name][i, sl] = np.abs(phasors @ weights[name][i]) / r_bs.size

@@ -15,7 +15,6 @@ from irslab.beamforming import (
     SignConsistencyWarning,
     cumulative_delay,
     dldd_design,
-    effective_reflection,
     narrowband_design,
     per_element_td_design,
     required_delay_range,
@@ -282,28 +281,35 @@ class TestModuleCount:
         assert td_module_count(part) == part.k - 1
 
 
+def reflection(config, f):
+    """Per-element unit reflection coefficients at frequency f, shape (N,):
+    exp(j*(anchor_n - 2*pi*f*tau_n)) from the configuration's anchor_and_delays."""
+    anchor, tau = config.anchor_and_delays()
+    return np.exp(1j * (anchor - 2 * np.pi * f * tau))
+
+
 class TestEffectiveReflection:
     def test_phase_only_is_frequency_flat(self, small_scene, small_grid):
         config = narrowband_design(small_scene, small_grid)
-        a = effective_reflection(config, 250e9)
-        b = effective_reflection(config, 350e9)
+        a = reflection(config, 250e9)
+        b = reflection(config, 350e9)
         assert np.allclose(a, b)
         assert np.allclose(a, np.exp(1j * config.phases.theta))
 
     def test_zero_frequency_gives_bare_phases(self, small_scene, small_grid):
         config = per_element_td_design(small_scene, small_grid)
-        coeff = effective_reflection(config, 0.0)
+        coeff = reflection(config, 0.0)
         assert np.allclose(coeff, np.exp(1j * config.phases.theta))
 
     def test_unit_magnitude(self, small_scene, small_grid):
         config = dldd_design(small_scene, small_grid)
-        coeff = effective_reflection(replace(config, delay_cap=2e-12), small_grid.frequencies[0])
+        coeff = reflection(replace(config, delay_cap=2e-12), small_grid.frequencies[0])
         assert np.allclose(np.abs(coeff), 1.0)
 
     def test_negative_clamp_rejected(self, small_scene, small_grid):
         config = dldd_design(small_scene, small_grid)
         with pytest.raises(ValueError):
-            effective_reflection(replace(config, delay_cap=-1e-12), 300e9)
+            reflection(replace(config, delay_cap=-1e-12), 300e9)
 
     def test_fully_clamped_per_element_equals_narrowband(self, small_scene, small_grid):
         # with all delays clamped to zero the re-anchored phases reproduce the
@@ -311,8 +317,8 @@ class TestEffectiveReflection:
         pe = per_element_td_design(small_scene, small_grid)
         nb = narrowband_design(small_scene, small_grid)
         for f in (small_grid.frequencies[0], small_grid.f_c, small_grid.frequencies[-1]):
-            a = effective_reflection(replace(pe, delay_cap=0.0), float(f))
-            b = effective_reflection(nb, float(f))
+            a = reflection(replace(pe, delay_cap=0.0), float(f))
+            b = reflection(nb, float(f))
             assert np.allclose(a, b, atol=1e-9)
 
     def test_clamp_at_design_range_is_identity(self, small_scene, small_grid):
@@ -320,13 +326,13 @@ class TestEffectiveReflection:
         cap = required_delay_range(config)
         f = float(small_grid.frequencies[-1])
         assert np.allclose(
-            effective_reflection(replace(config, delay_cap=cap), f), effective_reflection(config, f)
+            reflection(replace(config, delay_cap=cap), f), reflection(config, f)
         )
 
     def test_center_frequency_response_unchanged_by_clamp(self, small_scene, small_grid):
         config = dldd_design(small_scene, small_grid)
-        a = effective_reflection(config, small_grid.f_c)
-        b = effective_reflection(replace(config, delay_cap=1e-12), small_grid.f_c)
+        a = reflection(config, small_grid.f_c)
+        b = reflection(replace(config, delay_cap=1e-12), small_grid.f_c)
         assert np.allclose(a, b, atol=1e-12)
 
 

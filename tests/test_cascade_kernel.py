@@ -137,11 +137,11 @@ def test_kernel_matches_direct_formula_on_the_progression(case):
     for config in configs:
         sums = _cascade_sums(config, r_bs, r_user, f0, df, count)
         assert sums.shape == (count,)
-        want = np.abs(direct_sums(config, r_bs, r_user, grid.c, progression))
+        want = np.abs(direct_sums(config, r_bs, r_user, SPEED_OF_LIGHT, progression))
         np.testing.assert_allclose(np.abs(sums) / r_bs.size, want / r_bs.size,
                                    rtol=0, atol=DRIFT_TOL)
         sums = _cascade_sums(config, r_bs, r_user, f0, df, count, weights)
-        want = np.abs(direct_sums(config, r_bs, r_user, grid.c, progression, weights))
+        want = np.abs(direct_sums(config, r_bs, r_user, SPEED_OF_LIGHT, progression, weights))
         np.testing.assert_allclose(np.abs(sums), want, rtol=0,
                                    atol=DRIFT_TOL * np.abs(weights).sum())
 
@@ -153,12 +153,12 @@ def test_metrics_match_direct_formula_on_the_grid(case):
     freqs = grid.frequencies
     weights = 1.0 / (r_bs * r_user)
     for config in configs:
-        want = direct_gains(config, r_bs, r_user, grid.c, freqs)
+        want = direct_gains(config, r_bs, r_user, SPEED_OF_LIGHT, freqs)
         np.testing.assert_allclose(gain_profile(scene, grid, config), want, rtol=0, atol=DRIFT_TOL)
         got = normalized_array_gain(scene, grid, config, float(freqs[-1]))
         np.testing.assert_allclose(got, want[-1], rtol=0, atol=DRIFT_TOL)
-        amplitude = (grid.c / (4 * np.pi * freqs)) ** 2
-        want = np.abs(direct_sums(config, r_bs, r_user, grid.c, freqs, weights))
+        amplitude = (SPEED_OF_LIGHT / (4 * np.pi * freqs)) ** 2
+        want = np.abs(direct_sums(config, r_bs, r_user, SPEED_OF_LIGHT, freqs, weights))
         np.testing.assert_allclose(cascade_gain_magnitudes(scene, grid, config) / amplitude,
                                    want, rtol=0, atol=DRIFT_TOL * np.abs(weights).sum())
 
@@ -173,7 +173,7 @@ def test_edge_gains_match_direct_formula(case):
             with pytest.raises(ValueError, match="needs at least two subcarriers"):
                 edge_gain(scene, grid, config)
             continue
-        want = direct_gains(config, r_bs, r_user, grid.c, edges).min()
+        want = direct_gains(config, r_bs, r_user, SPEED_OF_LIGHT, edges).min()
         got = edge_gain(scene, grid, config)
         assert abs(got - want) <= DRIFT_TOL
 
@@ -429,7 +429,7 @@ def test_phases_beyond_the_table_range_take_libm_exp(tmp_path, monkeypatch):
     scenario = parse_scenario(text)
     scene, grid = scenario.scene, scenario.grid
     r_bs, r_user = element_distances(scene, "bs"), element_distances(scene, "user")
-    assert 2 * np.pi * grid.frequencies[0] * np.abs(r_bs - r_user).max() / grid.c > _CIS_RANGE
+    assert 2 * np.pi * grid.frequencies[0] * np.abs(r_bs - r_user).max() / SPEED_OF_LIGHT > _CIS_RANGE
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SignConsistencyWarning)
         configs = [build_design(scenario, design) for design in DESIGN_NAMES]

@@ -84,11 +84,11 @@ class TestGainProfileRunner:
             "gain_dldd",
             "gain_per_element",
         )
-        assert len(table.column("subcarrier_index")) == 16
+        assert len(table.data["subcarrier_index"]) == 16
 
     def test_per_element_column_is_unity(self, small_scenario):
         table = run_gain_profile(small_scenario)
-        assert np.all(np.abs(table.column("gain_per_element") - 1.0) < 1e-9)
+        assert np.all(np.abs(table.data["gain_per_element"] - 1.0) < 1e-9)
 
     def test_design_subset(self, small_scenario):
         table = run_gain_profile(small_scenario, designs=("dldd",))
@@ -103,7 +103,7 @@ class TestBeamPatternRunner:
     def test_long_format_and_peaks(self, small_scenario):
         table = run_beam_pattern(small_scenario, design="per-element")
         assert table.columns == ("frequency_ghz", "x_m", "y_m", "gain")
-        assert len(table.column("gain")) == 3 * 11 * 11
+        assert len(table.data["gain"]) == 3 * 11 * 11
         peaks = [c for c in table.comments if c.startswith("peak:")]
         assert len(peaks) == 3
 
@@ -127,9 +127,9 @@ class TestBeamPatternRunner:
 
     def test_explicit_frequency_tokens(self, small_scenario):
         table = run_beam_pattern(small_scenario, design="narrowband", frequencies=["fc"])
-        assert len(table.column("gain")) == 11 * 11
+        assert len(table.data["gain"]) == 11 * 11
         grid = small_scenario.grid
-        assert table.column("frequency_ghz")[0] == pytest.approx(grid.f_c / 1e9)
+        assert table.data["frequency_ghz"][0] == pytest.approx(grid.f_c / 1e9)
 
     def test_bad_token(self, small_scenario):
         with pytest.raises(ScenarioError, match="frequency token"):
@@ -147,13 +147,13 @@ class TestBeamPatternRunner:
         up = run_beam_pattern(small_scenario, frequencies=["f1", "fc", "fM"])
         down = run_beam_pattern(small_scenario, frequencies=["fM", "fc", "f1"])
         block = 11 * 11
-        assert [down.column("frequency_ghz")[i * block] for i in range(3)] == [
+        assert [down.data["frequency_ghz"][i * block] for i in range(3)] == [
             grid.frequencies[-1] / 1e9, grid.f_c / 1e9, grid.frequencies[0] / 1e9
         ]
         for name in up.columns:
             for i in range(3):
-                assert (down.column(name)[i * block:(i + 1) * block].tolist()
-                        == up.column(name)[(2 - i) * block:(3 - i) * block].tolist())
+                assert (down.data[name][i * block:(i + 1) * block].tolist()
+                        == up.data[name][(2 - i) * block:(3 - i) * block].tolist())
         assert down.comments == up.comments[::-1]
 
 
@@ -161,11 +161,11 @@ class TestTdCountSweep:
     def test_module_counts(self, small_scenario):
         table = run_td_count_sweep(small_scenario)
         assert table.columns == ("k_t", "edge_gain")
-        assert table.column("k_t").tolist() == [0, 3, 15, 24]
+        assert table.data["k_t"].tolist() == [0, 3, 15, 24]
 
     def test_gain_improves_with_modules(self, small_scenario):
         table = run_td_count_sweep(small_scenario)
-        gains = table.column("edge_gain")
+        gains = table.data["edge_gain"]
         assert gains[-1] > gains[0]
         assert np.all((gains >= 0) & (gains <= 1 + 1e-9))
 
@@ -174,11 +174,11 @@ class TestDelayRangeSweep:
     def test_zero_cap_equals_narrowband_edge(self, small_scenario):
         table = run_delay_range_sweep(small_scenario)
         profile = run_gain_profile(small_scenario, designs=("narrowband",))
-        nb_edge = min(profile.column("gain_narrowband")[0], profile.column("gain_narrowband")[-1])
-        assert table.column("t_req_ps")[0] == 0.0
+        nb_edge = min(profile.data["gain_narrowband"][0], profile.data["gain_narrowband"][-1])
+        assert table.data["t_req_ps"][0] == 0.0
         # per-element exactly, dldd up to model error
-        assert table.column("edge_gain_per_element")[0] == pytest.approx(nb_edge, abs=1e-9)
-        assert table.column("edge_gain_dldd")[0] == pytest.approx(nb_edge, abs=5e-3)
+        assert table.data["edge_gain_per_element"][0] == pytest.approx(nb_edge, abs=1e-9)
+        assert table.data["edge_gain_dldd"][0] == pytest.approx(nb_edge, abs=5e-3)
 
     def test_large_cap_releases_clamp(self, small_scenario):
         # per-element delays here are ~6 ns, so 100 ns releases everything
@@ -186,9 +186,18 @@ class TestDelayRangeSweep:
             parse_scenario(SMALL.replace("sweep.t_req_ps = 0,2,5", "sweep.t_req_ps = 0,100000"))
         )
         profile = run_gain_profile(small_scenario, designs=("dldd", "per-element"))
-        dldd_edge = min(profile.column("gain_dldd")[0], profile.column("gain_dldd")[-1])
-        assert table.column("edge_gain_dldd")[-1] == pytest.approx(dldd_edge, abs=1e-12)
-        assert table.column("edge_gain_per_element")[-1] == pytest.approx(1.0, abs=1e-9)
+        dldd_edge = min(profile.data["gain_dldd"][0], profile.data["gain_dldd"][-1])
+        assert table.data["edge_gain_dldd"][-1] == pytest.approx(dldd_edge, abs=1e-12)
+        assert table.data["edge_gain_per_element"][-1] == pytest.approx(1.0, abs=1e-9)
+
+    def test_caps_are_written_as_given(self):
+        # 1.7 and 9.9 ps do not survive a ps -> s -> ps round trip
+        table = run_delay_range_sweep(
+            parse_scenario(SMALL.replace("sweep.t_req_ps = 0,2,5", "sweep.t_req_ps = 1.7,9.9"))
+        )
+        assert table.data["t_req_ps"].tolist() == [1.7, 9.9]
+        rows = data_section(csv_bytes(table)).splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1.7", "9.9"]
 
 
 @pytest.fixture
@@ -247,7 +256,7 @@ class TestSceneDistances:
                                   .replace("user.y_m = -1.5", f"user.y_m = {p.y!r}")
                                   .replace("user.z_m = -0.9", f"user.z_m = {p.z!r}"))
         table = run_beam_pattern(scenario, design="dldd")  # BS distances only
-        assert np.all(np.isfinite(table.column("gain")))
+        assert np.all(np.isfinite(table.data["gain"]))
         with pytest.raises(DegenerateGeometryError, match="user coincides"):
             run_gain_profile(scenario, designs=("dldd",))
 
@@ -261,13 +270,13 @@ class TestRateSweep:
             "rate_dldd",
             "rate_per_element",
         )
-        nb, dldd, pe = (table.column(name) for name in table.columns[1:])
+        nb, dldd, pe = (table.data[name] for name in table.columns[1:])
         assert np.all(pe >= dldd - 1e-12)
         assert np.all(dldd >= nb - 1e-12)
 
     def test_rates_grow_with_power(self, small_scenario):
         table = run_rate_sweep(small_scenario)
-        nb = table.column("rate_narrowband")
+        nb = table.data["rate_narrowband"]
         assert np.all(np.diff(nb) > 0)
 
 
@@ -330,7 +339,7 @@ class TestDeterminismAndProvenance:
         blob = json.loads(buf.getvalue())
         assert blob["experiment"] == "td-count-sweep"
         assert blob["columns"] == ["k_t", "edge_gain"]
-        assert len(blob["rows"]) == len(table.column("k_t"))
+        assert len(blob["rows"]) == len(table.data["k_t"])
 
 
 class TestExportConfig:
@@ -604,7 +613,7 @@ def _old_cell(value) -> str:
 
 def old_writers(table: ResultTable) -> tuple[str, str]:
     """CSV and JSON as the row-tuple table wrote them: the reference for the column writers."""
-    rows = list(zip(*(table.column(name) for name in table.columns)))
+    rows = list(zip(*(table.data[name] for name in table.columns)))
     csv = io.StringIO()
     csv.write(f"# experiment: {table.experiment}\n")
     csv.write(f"# scenario-hash: {table.scenario_hash}\n")
@@ -688,11 +697,11 @@ class TestWriters:
 
     def test_unknown_column_is_a_key_error(self):
         with pytest.raises(KeyError):
-            EDGE_TABLE.column("gain")
+            EDGE_TABLE.data["gain"]
 
     def test_column_is_a_copy(self):
-        EDGE_TABLE.column("f")[:] = 1.0
-        assert EDGE_TABLE.column("f")[1] == -0.0 and np.signbit(EDGE_TABLE.column("f")[1])
+        EDGE_TABLE.data["f"].copy()[:] = 1.0
+        assert EDGE_TABLE.data["f"][1] == -0.0 and np.signbit(EDGE_TABLE.data["f"][1])
 
     def test_large_beam_pattern_holds_only_its_columns(self, small_scenario):
         """A 101x101 plane table (30,603 rows, ~7.5 writer blocks) keeps its column bytes,
@@ -719,7 +728,7 @@ class TestWriters:
         finally:
             tracemalloc.stop()
         column_bytes = 4 * 3 * 101 * 101 * 8
-        assert sum(table.column(name).nbytes for name in table.columns) == column_bytes
+        assert sum(table.data[name].nbytes for name in table.columns) == column_bytes
         assert retained <= column_bytes + MIB
         assert max(added) <= MIB
 

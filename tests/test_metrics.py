@@ -23,7 +23,6 @@ from irslab.metrics import (
     BeamPattern,
     EvaluationPlane,
     achievable_rate,
-    beam_pattern,
     cascade_gain_magnitudes,
     edge_gain,
     gain_profile,
@@ -181,11 +180,10 @@ class TestBeamPattern:
     def test_non_physical_frequencies_rejected(self, small_scene, small_grid, freqs, named):
         config = narrowband_design(small_scene, small_grid)
         plane = EvaluationPlane(x_min=1, x_max=2, y_min=0, y_max=1, z=0, n_x=2, n_y=2)
-        for run in (lambda: beam_pattern(small_scene, small_grid, config, freqs, plane),
-                    lambda: multi_beam_pattern(small_scene, small_grid, {"nb": config},
-                                               freqs, plane)):
+        pe = per_element_td_design(small_scene, small_grid)
+        for configs in ({"nb": config}, {"nb": config, "pe": pe}):
             with pytest.raises(ValueError, match=named):
-                run()
+                multi_beam_pattern(small_scene, small_grid, configs, freqs, plane)
 
     def test_value_at_user_matches_gain_profile(self, small_scene, small_grid):
         config = narrowband_design(small_scene, small_grid)
@@ -196,8 +194,8 @@ class TestBeamPattern:
         gains = gain_profile(small_scene, small_grid, config)
         for m in (0, 15):
             f = float(small_grid.frequencies[m])
-            pattern = beam_pattern(small_scene, small_grid, config, [f], plane)
-            assert pattern.gains[0, 0, 0] == pytest.approx(gains[m], abs=1e-12)
+            pattern = multi_beam_pattern(small_scene, small_grid, {"one": config}, [f], plane)
+            assert pattern["one"].gains[0, 0, 0] == pytest.approx(gains[m], abs=1e-12)
 
     def test_focus_peak_lands_on_user(self, small_scene, small_grid):
         config = narrowband_design(small_scene, small_grid)
@@ -207,7 +205,9 @@ class TestBeamPattern:
             y_min=user.y - 0.5, y_max=user.y + 0.5,
             z=user.z, n_x=21, n_y=21,
         )
-        pattern = beam_pattern(small_scene, small_grid, config, [small_grid.f_c], plane)
+        pattern = multi_beam_pattern(
+            small_scene, small_grid, {"one": config}, [small_grid.f_c], plane
+        )["one"]
         peak = pattern.peaks[0]
         assert abs(peak.x - user.x) <= 0.05 + 1e-12
         assert abs(peak.y - user.y) <= 0.05 + 1e-12
@@ -227,7 +227,7 @@ class TestBeamPattern:
         freqs = [float(small_grid.frequencies[0]), small_grid.f_c]
         combined = multi_beam_pattern(small_scene, small_grid, configs, freqs, plane)
         for name, config in configs.items():
-            single = beam_pattern(small_scene, small_grid, config, freqs, plane)
+            single = multi_beam_pattern(small_scene, small_grid, {name: config}, freqs, plane)[name]
             assert np.allclose(combined[name].gains, single.gains, atol=1e-12)
 
     def test_gains_bounded(self, small_scene, small_grid):
@@ -237,7 +237,9 @@ class TestBeamPattern:
             x_min=user.x - 0.1, x_max=user.x + 0.1, y_min=user.y - 0.1, y_max=user.y + 0.1,
             z=user.z, n_x=7, n_y=7,
         )
-        pattern = beam_pattern(small_scene, small_grid, config, [small_grid.f_c], plane)
+        pattern = multi_beam_pattern(
+            small_scene, small_grid, {"one": config}, [small_grid.f_c], plane
+        )["one"]
         assert np.all(pattern.gains <= 1.0) and np.all(pattern.gains >= 0.0)
 
 
@@ -389,9 +391,11 @@ PLANE = EvaluationPlane(x_min=1, x_max=2, y_min=0, y_max=1, z=0, n_x=2, n_y=2)
     (on_overflow(gain_profile), GAINS),
     (on_overflow(normalized_array_gain, 3e11), GAINS),
     (on_overflow(edge_gain), GAINS),
-    (on_overflow(beam_pattern, [3e11], PLANE), GAINS),
     (lambda scene, grid: multi_beam_pattern(
         scene, grid, {"pe": overflowing_delays(scene, grid)}, [3e11], PLANE), GAINS),
+    (lambda scene, grid: multi_beam_pattern(
+        scene, grid, {"nb": narrowband_design(scene, grid), "pe": overflowing_delays(scene, grid)},
+        [3e11], PLANE), GAINS),
     (on_overflow(cascade_gain_magnitudes), MAGNITUDES),
     (on_overflow(achievable_rate, 1.0, 1e-20), MAGNITUDES),
 ], ids=["edge-gain-one-subcarrier", "gain-profile-nan", "normalized-array-gain-nan",

@@ -37,12 +37,12 @@ from irslab.experiments import (
     run_delay_range_sweep,
     run_td_count_sweep,
 )
-from irslab.geometry import SubsurfacePartition, distance, element_position
+from irslab.geometry import SPEED_OF_LIGHT, SubsurfacePartition, distance, element_position
 from irslab.metrics import (
     EvaluationPlane,
-    beam_pattern,
     cascade_gain_magnitudes,
     gain_profile,
+    multi_beam_pattern,
     normalized_array_gain,
 )
 from irslab.scenario import parse_scenario
@@ -122,7 +122,7 @@ def oracle_sum(scene, grid, config, f, cap=None, weighted=False) -> complex:
         anchor = config.phases.theta[n] - 2 * math.pi * config.design_frequency * (
             ideal[n] - capped[n]
         )
-        phase = anchor - 2 * math.pi * f * ((r_bs - r_user) / grid.c + capped[n])
+        phase = anchor - 2 * math.pi * f * ((r_bs - r_user) / SPEED_OF_LIGHT + capped[n])
         term = cmath.exp(1j * phase)
         total += term / (r_bs * r_user) if weighted else term
     return total
@@ -165,7 +165,7 @@ def test_cascade_gain_magnitudes_match_oracle(text):
     scene, grid = scenario.scene, scenario.grid
     for config in designs(scenario).values():
         want = [
-            (grid.c / (4 * math.pi * f)) ** 2
+            (SPEED_OF_LIGHT / (4 * math.pi * f)) ** 2
             * abs(oracle_sum(scene, grid, config, float(f), weighted=True))
             for f in grid.frequencies
         ]
@@ -182,7 +182,7 @@ def test_beam_pattern_at_user_matches_oracle(text):
     plane = EvaluationPlane(user.x, user.x, user.y, user.y, user.z, 1, 1)
     freqs = [float(f) for f in (grid.frequencies[0], grid.f_c, grid.frequencies[-1])]
     for config in designs(scenario).values():
-        got = beam_pattern(scene, grid, config, freqs, plane).gains[:, 0, 0]
+        got = multi_beam_pattern(scene, grid, {"one": config}, freqs, plane)["one"].gains[:, 0, 0]
         want = [oracle_gain(scene, grid, config, f) for f in freqs]
         np.testing.assert_allclose(got, want, rtol=0, atol=ORACLE_TOL)
 
@@ -198,7 +198,7 @@ def test_capped_edge_gains_match_oracle(text):
         table = run_delay_range_sweep(scenario)
     for name in ("dldd", "per-element"):
         want = [oracle_edge_gain(scene, grid, built[name], t) for t in scenario.t_req_seconds]
-        got = table.column(f"edge_gain_{name.replace('-', '_')}")
+        got = table.data[f"edge_gain_{name.replace('-', '_')}"]
         np.testing.assert_allclose(got, want, rtol=0, atol=ORACLE_TOL)
 
 
@@ -217,4 +217,4 @@ def test_td_count_sweep_matches_oracle(text):
             )
             for k in scenario.partition_sizes
         ]
-    np.testing.assert_allclose(table.column("edge_gain"), want, rtol=0, atol=ORACLE_TOL)
+    np.testing.assert_allclose(table.data["edge_gain"], want, rtol=0, atol=ORACLE_TOL)

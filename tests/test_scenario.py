@@ -8,12 +8,11 @@ import pytest
 from irslab.cli import main
 from irslab.geometry import SPEED_OF_LIGHT, PanelPlaneWarning
 from irslab.scenario import (
+    _KEYS,
     Scenario,
     ScenarioError,
-    default_scenario,
     load_scenario,
     parse_scenario,
-    scenario_keys,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -21,7 +20,7 @@ SCENARIOS = ROOT / "scenarios"
 
 
 class TestDefaults:
-    def test_empty_text_gives_default_scenario(self):
+    def test_empty_text_gives_the_defaults(self):
         sc = parse_scenario("")
         assert sc.values["irs.n_y"] == 100
         assert sc.values["irs.n_z"] == 100
@@ -37,7 +36,7 @@ class TestDefaults:
         p = tmp_path / "empty.scn"
         p.write_text("")
         sc = load_scenario(p)
-        assert sc.values == default_scenario().values
+        assert sc.values == load_scenario().values
 
     def test_missing_spacing_defaults_to_half_wavelength(self):
         sc = parse_scenario("")
@@ -157,6 +156,17 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
             parse_scenario(line + "\n")
 
+    def test_subcarrier_count_beyond_the_float_range_is_one_cli_error(self, tmp_path, capsys):
+        # the grid's subcarrier formula takes the count as a float; 10^400 - 1 used to raise
+        # OverflowError while the scenario loaded, a traceback from every command
+        scn = tmp_path / "huge.scn"
+        scn.write_text(f"grid.subcarriers = {10**400 - 1}\n")
+        assert main(["export-config", "--scenario", str(scn),
+                     "--out", str(tmp_path / "c.json")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: grid.subcarriers: a 400-digit count is too large to express as a float"]
+        assert not (tmp_path / "c.json").exists()
+
 
 class TestPanelPlaneWarning:
     @pytest.mark.parametrize("text, keys", [
@@ -185,7 +195,7 @@ class TestPanelPlaneWarning:
 
 class TestResolvedObjects:
     def test_scene_and_grid(self):
-        sc = default_scenario()
+        sc = load_scenario()
         scene = sc.scene
         assert scene.layout.n_elements == 10000
         assert scene.partition.s == 10
@@ -217,12 +227,12 @@ class TestDigest:
         assert a.digest == b.digest
 
     def test_changes_on_mutation(self):
-        a = default_scenario()
+        a = load_scenario()
         b = parse_scenario("user.y_m = -3.9\n")
         assert a.digest != b.digest
 
     def test_explicit_default_matches_implicit(self):
-        assert parse_scenario("grid.f_c_ghz = 300\n").digest == default_scenario().digest
+        assert parse_scenario("grid.f_c_ghz = 300\n").digest == load_scenario().digest
 
     @pytest.mark.parametrize(
         "path, digest",
@@ -241,8 +251,8 @@ class TestDigest:
 
 def test_all_documented_keys_parse_round_trip():
     # every key accepts its own default when rendered back as text
-    sc = default_scenario()
-    for key in scenario_keys():
+    sc = load_scenario()
+    for key in _KEYS:
         value = sc.values[key]
         if isinstance(value, tuple):
             rendered = ",".join(str(v) for v in value)
@@ -253,7 +263,7 @@ def test_all_documented_keys_parse_round_trip():
 
 
 def test_scenario_is_mapping_like():
-    sc = default_scenario()
+    sc = load_scenario()
     assert isinstance(sc, Scenario)
     assert sc.values["rate.noise_dbm_hz"] == -174.0
     assert math.isclose(sc.noise_density, 3.981071705534969e-21, rel_tol=1e-12)
@@ -267,7 +277,7 @@ def test_formats_doc_key_table_names_every_key():
         for row in table.splitlines()
         for name in re.findall(r"`([a-z_]+\.[a-z_]+)`", row.split("|")[1])
     ]
-    assert sorted(documented) == sorted(scenario_keys())
+    assert sorted(documented) == sorted(_KEYS)
 
 
 @pytest.mark.parametrize("text, fragment", [
